@@ -11,6 +11,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/gates"
@@ -46,8 +47,9 @@ type Config struct {
 	// Rng drives sampling; nil selects a fixed default seed so that runs
 	// are reproducible unless the caller opts into randomness.
 	Rng *rand.Rand
-	// Cancel, when non-nil, aborts TRASYN between attempts (the natural
-	// preemption granularity); the best result so far is returned.
+	// Cancel, when non-nil, aborts a run: TRASYN polls it between attempts
+	// and the sampler between chunks of prefixes inside one. The best
+	// result of the attempts that finished is returned.
 	Cancel <-chan struct{}
 }
 
@@ -87,7 +89,7 @@ type Result struct {
 // product equals the sampled operator up to global phase.
 func Synthesize(u qmat.M2, cfg Config) Result {
 	cfg = fill(cfg)
-	return synthesizeOnce(u, cfg, cfg.Budgets)
+	return (&search{cfg: cfg}).attempt(u, len(cfg.Budgets))
 }
 
 // TRASYN is Algorithm 1: attempts budgets[:l], budgets[:l+1], …, r times
@@ -95,6 +97,7 @@ func Synthesize(u qmat.M2, cfg Config) Result {
 // the threshold is met, effectively solving Eq. (4).
 func TRASYN(u qmat.M2, cfg Config) Result {
 	cfg = fill(cfg)
+	s := &search{cfg: cfg}
 	best := Result{Error: math.Inf(1)}
 	evals := 0
 	for i := cfg.MinSites; i <= len(cfg.Budgets); i++ {
@@ -107,7 +110,7 @@ func TRASYN(u qmat.M2, cfg Config) Result {
 				default:
 				}
 			}
-			res := synthesizeOnce(u, cfg, cfg.Budgets[:i])
+			res := s.attempt(u, i)
 			evals += res.Evals
 			if res.Error < best.Error ||
 				(res.Error == best.Error && res.TCount < best.TCount) {
@@ -156,54 +159,75 @@ func fill(cfg Config) Config {
 	return cfg
 }
 
-func synthesizeOnce(u qmat.M2, cfg Config, budgets []int) Result {
-	// Assemble per-site candidate lists from the enumeration.
-	entries := make([][]*gates.Entry, len(budgets))
-	mats := make([][]qmat.M2, len(budgets))
-	for i, b := range budgets {
-		if b > cfg.Table.MaxT {
-			b = cfg.Table.MaxT
-		}
-		es := cfg.Table.Collect(0, b)
-		ms := make([]qmat.M2, len(es))
-		for j, e := range es {
-			ms[j] = e.M
-		}
-		entries[i] = es
-		mats[i] = ms
-	}
-	chain := mps.Build(u, mats)
+// search is one Synthesize, TRASYN or Candidates call: its configuration
+// and the per-site candidate lists its attempts share. Site i draws from
+// the enumerated operators with T count ≤ Budgets[i]; each list is
+// collected on first use, once per call, and sites with equal budgets
+// share one. The lists are not cached on the Table, where they would stay
+// live for the life of the process.
+type search struct {
+	cfg     Config
+	entries [][]*gates.Entry // per site, the operators it draws from
+	mats    [][]qmat.M2      // per site, their matrices in the same order
+}
 
-	var samples []mps.Sampled
-	if cfg.UseBeam || len(budgets) == 1 {
-		// A single site is a lookup table: the beam scan is exact (§4.1).
-		samples = chain.Beam(cfg.BeamWidth)
-	} else {
-		// Error-aware sampling with an exact argmax completion of the last
-		// tensor per sampled prefix (same cost as a plain draw, strictly
-		// better for the Eq. (3) objective).
-		samples = chain.SampleBestTail(cfg.Rng, cfg.Samples, cfg.EnvCap)
-	}
-	best := Result{Error: math.Inf(1), Sites: len(budgets), Evals: len(samples)}
-	if len(samples) == 0 {
-		return best
-	}
-	// Examine the top KeepBest by trace value.
-	top := topByTrace(samples, cfg.KeepBest)
-	for _, s := range top {
-		err := qmat.DistanceFromTrace(s.Trace)
-		var seq gates.Sequence
-		for site, idx := range s.Indices {
-			seq = append(seq, entries[site][idx].Sequence()...)
+// sites returns the candidate matrices of sites [0, n).
+func (s *search) sites(n int) [][]qmat.M2 {
+	capped := func(b int) int { return min(b, s.cfg.Table.MaxT) }
+	for i := len(s.mats); i < n; i++ {
+		b := capped(s.cfg.Budgets[i])
+		if j := slices.IndexFunc(s.cfg.Budgets[:i], func(x int) bool { return capped(x) == b }); j >= 0 {
+			s.entries, s.mats = append(s.entries, s.entries[j]), append(s.mats, s.mats[j])
+			continue
 		}
-		seq = Rewrite(seq, cfg.Table)
+		es := s.cfg.Table.Collect(0, b)
+		ms := make([]qmat.M2, len(es))
+		for k, e := range es {
+			ms[k] = e.M
+		}
+		s.entries, s.mats = append(s.entries, es), append(s.mats, ms)
+	}
+	return s.mats[:n]
+}
+
+// sample is steps 1 and 2 over the first n sites: the trace-value MPS and
+// its sampled configurations, nil if the run was canceled.
+func (s *search) sample(u qmat.M2, n int) []mps.Sampled {
+	chain := mps.Build(u, s.sites(n))
+	if s.cfg.UseBeam || n == 1 {
+		// A single site is a lookup table: the beam scan is exact (§4.1).
+		return chain.BeamUntil(s.cfg.Cancel, s.cfg.BeamWidth)
+	}
+	// Error-aware sampling with an exact argmax completion of the last
+	// tensor per sampled prefix (same cost as a plain draw, strictly
+	// better for the Eq. (3) objective).
+	return chain.SampleBestTailUntil(s.cfg.Cancel, s.cfg.Rng, s.cfg.Samples, s.cfg.EnvCap)
+}
+
+// sequence is a sample's gate sequence after step 3's rewriting.
+func (s *search) sequence(smp mps.Sampled) gates.Sequence {
+	var seq gates.Sequence
+	for site, idx := range smp.Indices {
+		seq = append(seq, s.entries[site][idx].Sequence()...)
+	}
+	return Rewrite(seq, s.cfg.Table)
+}
+
+// attempt is one attempt of Algorithm 1 over the first n sites: sample,
+// then post-process the top KeepBest samples by trace value.
+func (s *search) attempt(u qmat.M2, n int) Result {
+	samples := s.sample(u, n)
+	best := Result{Error: math.Inf(1), Sites: n, Evals: len(samples)}
+	for _, smp := range topByTrace(samples, s.cfg.KeepBest) {
+		err := qmat.DistanceFromTrace(smp.Trace)
+		if err > best.Error {
+			continue // loses whatever its rewritten cost: skip the rewrite
+		}
+		seq := s.sequence(smp)
 		t, c := seq.TCount(), seq.CliffordCount()
 		if err < best.Error ||
 			(err == best.Error && (t < best.TCount || (t == best.TCount && c < best.Clifford))) {
-			best.Error = err
-			best.Seq = seq
-			best.TCount = t
-			best.Clifford = c
+			best.Error, best.Seq, best.TCount, best.Clifford = err, seq, t, c
 		}
 	}
 	return best
@@ -215,37 +239,13 @@ func synthesizeOnce(u qmat.M2, cfg Config, budgets []int) Result {
 // nearby approximations rather than a single winner.
 func Candidates(u qmat.M2, cfg Config) []Result {
 	cfg = fill(cfg)
-	budgets := cfg.Budgets
-	entries := make([][]*gates.Entry, len(budgets))
-	mats := make([][]qmat.M2, len(budgets))
-	for i, b := range budgets {
-		if b > cfg.Table.MaxT {
-			b = cfg.Table.MaxT
-		}
-		es := cfg.Table.Collect(0, b)
-		ms := make([]qmat.M2, len(es))
-		for j, e := range es {
-			ms[j] = e.M
-		}
-		entries[i] = es
-		mats[i] = ms
-	}
-	chain := mps.Build(u, mats)
-	var samples []mps.Sampled
-	if cfg.UseBeam || len(budgets) == 1 {
-		samples = chain.Beam(cfg.BeamWidth)
-	} else {
-		samples = chain.SampleBestTail(cfg.Rng, cfg.Samples, cfg.EnvCap)
-	}
-	top := topByTrace(samples, cfg.KeepBest)
+	s := &search{cfg: cfg}
+	n := len(cfg.Budgets)
+	top := topByTrace(s.sample(u, n), cfg.KeepBest)
 	out := make([]Result, 0, len(top))
 	seen := map[string]bool{}
-	for _, s := range top {
-		var seq gates.Sequence
-		for site, idx := range s.Indices {
-			seq = append(seq, entries[site][idx].Sequence()...)
-		}
-		seq = Rewrite(seq, cfg.Table)
+	for _, smp := range top {
+		seq := s.sequence(smp)
 		key := seq.String()
 		if seen[key] {
 			continue
@@ -253,10 +253,10 @@ func Candidates(u qmat.M2, cfg Config) []Result {
 		seen[key] = true
 		out = append(out, Result{
 			Seq:      seq,
-			Error:    qmat.DistanceFromTrace(s.Trace),
+			Error:    qmat.DistanceFromTrace(smp.Trace),
 			TCount:   seq.TCount(),
 			Clifford: seq.CliffordCount(),
-			Sites:    len(budgets),
+			Sites:    n,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Error < out[j].Error })

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/gates"
 	"repro/internal/qmat"
@@ -192,6 +193,47 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}()
 	Synthesize(qmat.I2(), Config{Budgets: []int{3}})
+}
+
+// TestCancelInsideAttempt: Config.Cancel stops an attempt mid-sample. A
+// four-site attempt over 200000 samples takes seconds; canceled after
+// 5 ms it must return at once, with nothing, since no sample finished.
+func TestCancelInsideAttempt(t *testing.T) {
+	cfg := DefaultConfig(gates.Shared(5), 5, 4, 200000)
+	cancel := make(chan struct{})
+	cfg.Cancel = cancel
+	time.AfterFunc(5*time.Millisecond, func() { close(cancel) })
+	start := time.Now()
+	res := Synthesize(qmat.HaarRandom(rand.New(rand.NewSource(14))), cfg)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("canceled attempt returned after %v", elapsed)
+	}
+	if res.Seq != nil || res.Evals != 0 {
+		t.Fatalf("canceled attempt returned %v from %d samples", res.Seq, res.Evals)
+	}
+}
+
+// TestCancelKeepsBestSoFar: TRASYN canceled inside a later attempt still
+// returns the best result of the attempts it finished.
+func TestCancelKeepsBestSoFar(t *testing.T) {
+	u := qmat.HaarRandom(rand.New(rand.NewSource(15)))
+	cfg := DefaultConfig(gates.Shared(5), 5, 4, 200000)
+	one := cfg
+	one.Budgets = cfg.Budgets[:1]
+	start := time.Now()
+	first := Synthesize(u, one)
+	delay := 3*time.Since(start) + 10*time.Millisecond
+	cancel := make(chan struct{})
+	cfg.Cancel = cancel
+	time.AfterFunc(delay, func() { close(cancel) })
+	start = time.Now()
+	res := TRASYN(u, cfg)
+	if elapsed := time.Since(start); elapsed > delay+2*time.Second {
+		t.Fatalf("canceled TRASYN returned after %v", elapsed)
+	}
+	if res.Seq == nil || res.Error > first.Error {
+		t.Fatalf("canceled TRASYN returned %v (error %g), want at least the one-site attempt's error %g", res.Seq, res.Error, first.Error)
+	}
 }
 
 func BenchmarkSynthesize2Sites(b *testing.B) {

@@ -237,6 +237,41 @@ func TestSharedConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestSharedViewMatchesBuild: a view of a larger table — what Shared
+// returns once a larger one is built — is indistinguishable from
+// BuildTable of its own budget: the same Count, the same Collect order,
+// the same Find hits, and misses for every entry of the higher levels.
+func TestSharedViewMatchesBuild(t *testing.T) {
+	big := BuildTable(6)
+	for k := 0; k <= 5; k++ {
+		view, want := big.view(k), BuildTable(k)
+		if view.Count() != want.Count() {
+			t.Fatalf("budget %d: view holds %d entries, BuildTable %d", k, view.Count(), want.Count())
+		}
+		got, exp := view.Collect(0, k), want.Collect(0, k)
+		for i := range exp {
+			if *got[i] != *exp[i] {
+				t.Fatalf("budget %d: Collect entry %d differs", k, i)
+			}
+		}
+		for _, e := range big.Collect(0, k+1) {
+			u := e.Sequence().UMat()
+			ge, gok := view.Find(u)
+			we, wok := want.Find(u)
+			if gok != wok || gok && *ge != *we {
+				t.Fatalf("budget %d: Find(%v) = %v, %t; BuildTable's %v, %t", k, e.Sequence(), ge, gok, we, wok)
+			}
+		}
+	}
+	Shared(6)
+	sharedMu.Lock()
+	larger := builtAbove(0)
+	sharedMu.Unlock()
+	if &Shared(0).Levels[0][0] != &larger.Levels[0][0] {
+		t.Error("Shared(0) built its own table although a larger one was built")
+	}
+}
+
 func BenchmarkBuildTableT8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		BuildTable(8)

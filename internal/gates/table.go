@@ -51,6 +51,8 @@ type Ref struct {
 type Table struct {
 	MaxT   int
 	Levels [][]Entry // Levels[t] = operators with minimal T count exactly t
+	// lookup indexes the levels of the table it was built for; in a view
+	// (see Shared) those include levels above MaxT, which FindKey skips.
 	lookup map[ring.Key]Ref
 }
 
@@ -150,10 +152,17 @@ func (t *Table) Find(u ring.UMat) (*Entry, bool) {
 // FindKey looks up a canonical key directly.
 func (t *Table) FindKey(k ring.Key) (*Entry, bool) {
 	ref, ok := t.lookup[k]
-	if !ok {
+	if !ok || int(ref.Level) > t.MaxT {
 		return nil, false
 	}
 	return &t.Levels[ref.Level][ref.Idx], true
+}
+
+// view returns the table for budget maxT ≤ t.MaxT without enumerating
+// again: BuildTable fills each level the same way whatever its budget, so
+// that table is t's first maxT+1 levels, served by t's lookup.
+func (t *Table) view(maxT int) *Table {
+	return &Table{MaxT: maxT, Levels: t.Levels[: maxT+1 : maxT+1], lookup: t.lookup}
 }
 
 // Collect returns pointers to all entries with T count in [loT, hiT].
@@ -179,27 +188,55 @@ var (
 	sharedTab = map[int]*sharedEntry{}
 )
 
-// sharedEntry is one per-budget construction slot: the once guarantees a
-// single BuildTable per budget no matter how many goroutines race the
-// first use, and the global mutex is held only for the map access, so
-// concurrent first uses of different budgets build in parallel.
+// sharedEntry is one per-budget slot. The once guarantees a single
+// BuildTable per budget however many goroutines race its first use; tab is
+// read and written under sharedMu, which is held only for map and field
+// access, so first uses of different budgets build in parallel.
 type sharedEntry struct {
 	once sync.Once
 	tab  *Table
 }
 
-// Shared returns a process-wide cached table for the given budget, building
-// it on first use. Tables are immutable after construction; Shared is safe
-// for concurrent use, including concurrent first use (the table for each
-// budget is built exactly once).
+// Shared returns a process-wide table for the given budget. When a table
+// for a larger budget is already built, it returns a view of that table —
+// the same entries, so one enumeration stays in memory rather than two;
+// otherwise it builds the table on first use. Tables are immutable after
+// construction; Shared is safe for concurrent use, including concurrent
+// first use (each budget's table is built at most once).
 func Shared(maxT int) *Table {
 	sharedMu.Lock()
 	e, ok := sharedTab[maxT]
 	if !ok {
 		e = &sharedEntry{}
+		if big := builtAbove(maxT); big != nil && maxT >= 0 {
+			e.tab = big.view(maxT)
+		}
 		sharedTab[maxT] = e
 	}
+	tab := e.tab
 	sharedMu.Unlock()
-	e.once.Do(func() { e.tab = BuildTable(maxT) })
+	if tab != nil {
+		return tab
+	}
+	e.once.Do(func() {
+		built := BuildTable(maxT)
+		sharedMu.Lock()
+		e.tab = built
+		sharedMu.Unlock()
+	})
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
 	return e.tab
+}
+
+// builtAbove returns the built shared table of the smallest budget above
+// maxT, or nil. sharedMu must be held.
+func builtAbove(maxT int) *Table {
+	var best *Table
+	for k, e := range sharedTab {
+		if k > maxT && e.tab != nil && (best == nil || k < best.MaxT) {
+			best = e.tab
+		}
+	}
+	return best
 }

@@ -11,10 +11,7 @@
 package mps
 
 import (
-	"math"
 	"math/cmplx"
-	"math/rand"
-	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/qmat"
@@ -186,276 +183,6 @@ type Sampled struct {
 	Indices []int32    // one physical index per site
 	Trace   complex128 // exact trace value of this configuration
 	Count   int        // how many of the k samples landed here
-}
-
-type group struct {
-	env    []complex128
-	prefix []int32
-	count  int
-}
-
-// Sample draws k configurations from p ∝ |trace value|² (perfect MPS
-// sampling) and returns the distinct ones. envCap bounds the number of
-// concurrently tracked distinct prefixes (0 = unlimited); when exceeded,
-// the lowest-count groups are dropped, which biases the search slightly
-// toward high-probability sequences — acceptable for a search heuristic.
-func (c *Chain) Sample(rng *rand.Rand, k, envCap int) []Sampled {
-	if c.norm2 <= 0 || k <= 0 {
-		return nil
-	}
-	groups := []group{{env: []complex128{1}, count: k}}
-	for i := range c.sites {
-		st := &c.sites[i]
-		var next []group
-		for _, g := range groups {
-			next = append(next, c.expandGroup(rng, st, g)...)
-		}
-		if envCap > 0 && len(next) > envCap {
-			sort.Slice(next, func(a, b int) bool { return next[a].count > next[b].count })
-			next = next[:envCap]
-		}
-		groups = next
-	}
-	out := make([]Sampled, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, Sampled{Indices: g.prefix, Trace: g.env[0], Count: g.count})
-	}
-	return out
-}
-
-// expandGroup samples site st for all g.count samples in the group at once.
-// Weights are computed in a first pass without materializing environment
-// vectors; envs are rebuilt only for the (few) selected indices.
-func (c *Chain) expandGroup(rng *rand.Rand, st *site, g group) []group {
-	m, dl, dr := st.m, st.dl, st.dr
-	weights := make([]float64, m)
-	total := 0.0
-	var v [4]complex128 // dr ≤ 4 by construction
-	env := g.env
-	for s := 0; s < m; s++ {
-		base := s * dl * dr
-		for r := 0; r < dr; r++ {
-			v[r] = 0
-		}
-		for l := 0; l < dl; l++ {
-			e := env[l]
-			if e == 0 {
-				continue
-			}
-			row := st.data[base+l*dr : base+(l+1)*dr]
-			for r, x := range row {
-				v[r] += e * x
-			}
-		}
-		w := 0.0
-		for r := 0; r < dr; r++ {
-			x := v[r]
-			w += real(x)*real(x) + imag(x)*imag(x)
-		}
-		weights[s] = w
-		total += w
-	}
-	if total <= 0 {
-		return nil
-	}
-	// Multinomial draw of g.count samples.
-	counts := multinomial(rng, weights, total, g.count)
-	out := make([]group, 0, len(counts))
-	for _, sc := range counts {
-		s, n := sc.idx, sc.n
-		ev := make([]complex128, dr)
-		base := s * dl * dr
-		for l := 0; l < dl; l++ {
-			e := env[l]
-			if e == 0 {
-				continue
-			}
-			row := st.data[base+l*dr : base+(l+1)*dr]
-			for r, x := range row {
-				ev[r] += e * x
-			}
-		}
-		prefix := make([]int32, len(g.prefix)+1)
-		copy(prefix, g.prefix)
-		prefix[len(g.prefix)] = int32(s)
-		out = append(out, group{env: ev, prefix: prefix, count: n})
-	}
-	return out
-}
-
-type idxCount struct {
-	idx, n int
-}
-
-// multinomial draws n samples from the weight vector; returns the sparse
-// counts in deterministic (increasing index) order so sampling is
-// reproducible for a fixed rng seed.
-func multinomial(rng *rand.Rand, w []float64, total float64, n int) []idxCount {
-	// Cumulative + binary search; n draws.
-	cum := make([]float64, len(w))
-	acc := 0.0
-	for i, x := range w {
-		acc += x
-		cum[i] = acc
-	}
-	m := make(map[int]int, min(n, 16))
-	for i := 0; i < n; i++ {
-		u := rng.Float64() * total
-		j := sort.SearchFloat64s(cum, u)
-		if j >= len(w) {
-			j = len(w) - 1
-		}
-		m[j]++
-	}
-	out := make([]idxCount, 0, len(m))
-	for idx, cnt := range m {
-		out = append(out, idxCount{idx, cnt})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].idx < out[b].idx })
-	return out
-}
-
-// SampleBestTail draws k prefixes through sites 1..l−1 like Sample, but
-// completes each distinct prefix with the argmax over the last site's
-// physical index instead of a random draw. The amplitude of a completion
-// is the exact trace value, so the argmax is the best completion for that
-// prefix at no extra cost — a strict quality improvement over pure
-// sampling when the caller wants the maximum-|trace| configuration.
-func (c *Chain) SampleBestTail(rng *rand.Rand, k, envCap int) []Sampled {
-	if c.norm2 <= 0 || k <= 0 {
-		return nil
-	}
-	if len(c.sites) == 1 {
-		return c.Beam(min(k, c.sites[0].m))
-	}
-	groups := []group{{env: []complex128{1}, count: k}}
-	for i := 0; i < len(c.sites)-1; i++ {
-		st := &c.sites[i]
-		var next []group
-		for _, g := range groups {
-			next = append(next, c.expandGroup(rng, st, g)...)
-		}
-		if envCap > 0 && len(next) > envCap {
-			sort.Slice(next, func(a, b int) bool { return next[a].count > next[b].count })
-			next = next[:envCap]
-		}
-		groups = next
-	}
-	last := &c.sites[len(c.sites)-1]
-	out := make([]Sampled, 0, len(groups))
-	for _, g := range groups {
-		bestS, bestW := -1, -1.0
-		var bestAmp complex128
-		for s := 0; s < last.m; s++ {
-			var amp complex128
-			base := s * last.dl * last.dr
-			for l := 0; l < last.dl; l++ {
-				amp += g.env[l] * last.data[base+l*last.dr]
-			}
-			w := real(amp)*real(amp) + imag(amp)*imag(amp)
-			if w > bestW {
-				bestS, bestW, bestAmp = s, w, amp
-			}
-		}
-		if bestS < 0 {
-			continue
-		}
-		idx := make([]int32, len(g.prefix)+1)
-		copy(idx, g.prefix)
-		idx[len(g.prefix)] = int32(bestS)
-		out = append(out, Sampled{Indices: idx, Trace: bestAmp, Count: g.count})
-	}
-	return out
-}
-
-// Beam runs a deterministic beam search for the configurations with the
-// largest |trace value|, keeping `width` prefixes per site. Returned
-// entries have Count = 1 and are sorted by decreasing |Trace|.
-func (c *Chain) Beam(width int) []Sampled {
-	type beamEntry struct {
-		env    []complex128
-		prefix []int32
-		w      float64
-	}
-	beams := []beamEntry{{env: []complex128{1}}}
-	for i := range c.sites {
-		st := &c.sites[i]
-		m, dl, dr := st.m, st.dl, st.dr
-		// Stream all (beam, s) candidates through a fixed-size selection.
-		var next []beamEntry
-		worst := math.Inf(-1)
-		push := func(e beamEntry) {
-			if len(next) < width {
-				next = append(next, e)
-				if e.w < worst || len(next) == 1 {
-					worst = e.w
-				}
-				if len(next) == width {
-					worst = math.Inf(1)
-					for _, x := range next {
-						if x.w < worst {
-							worst = x.w
-						}
-					}
-				}
-				return
-			}
-			if e.w <= worst {
-				return
-			}
-			// Replace the current worst.
-			wi, wv := 0, math.Inf(1)
-			for j, x := range next {
-				if x.w < wv {
-					wi, wv = j, x.w
-				}
-			}
-			next[wi] = e
-			worst = math.Inf(1)
-			for _, x := range next {
-				if x.w < worst {
-					worst = x.w
-				}
-			}
-		}
-		for _, b := range beams {
-			for s := 0; s < m; s++ {
-				v := make([]complex128, dr)
-				base := s * dl * dr
-				for l := 0; l < dl; l++ {
-					e := b.env[l]
-					if e == 0 {
-						continue
-					}
-					row := st.data[base+l*dr : base+(l+1)*dr]
-					for r, x := range row {
-						v[r] += e * x
-					}
-				}
-				w := 0.0
-				for _, x := range v {
-					w += real(x)*real(x) + imag(x)*imag(x)
-				}
-				if len(next) == width && w <= worst {
-					continue
-				}
-				prefix := make([]int32, len(b.prefix)+1)
-				copy(prefix, b.prefix)
-				prefix[len(b.prefix)] = int32(s)
-				push(beamEntry{env: v, prefix: prefix, w: w})
-			}
-		}
-		beams = next
-		if len(beams) == 0 {
-			return nil
-		}
-	}
-	sort.Slice(beams, func(a, b int) bool { return beams[a].w > beams[b].w })
-	out := make([]Sampled, len(beams))
-	for i, b := range beams {
-		out[i] = Sampled{Indices: b.prefix, Trace: b.env[0], Count: 1}
-	}
-	return out
 }
 
 // Best returns the sampled configuration with the largest |Trace| and the
