@@ -17,6 +17,7 @@ import (
 	"repro/internal/gates"
 	"repro/internal/mps"
 	"repro/internal/qmat"
+	"repro/internal/ring"
 )
 
 // Config controls a synthesis run. The zero value is not usable; start from
@@ -208,7 +209,7 @@ func (s *search) sample(u qmat.M2, n int) []mps.Sampled {
 func (s *search) sequence(smp mps.Sampled) gates.Sequence {
 	var seq gates.Sequence
 	for site, idx := range smp.Indices {
-		seq = append(seq, s.entries[site][idx].Sequence()...)
+		seq = s.entries[site][idx].AppendSequence(seq)
 	}
 	return Rewrite(seq, s.cfg.Table)
 }
@@ -305,7 +306,9 @@ func topByTrace(samples []mps.Sampled, n int) []mps.Sampled {
 // Table.MaxT is guaranteed to be found (MA normal forms are exhaustive), so
 // segments are replaced by their canonical minimal form; alternating
 // segmentation offsets across passes catches junction reductions. The
-// product is preserved up to global phase.
+// product is preserved up to global phase. A T gate that no window can
+// hold (a table with MaxT 0) is copied through unchanged. The input is
+// never modified.
 func Rewrite(seq gates.Sequence, tab *gates.Table) gates.Sequence {
 	if tab == nil || len(seq) == 0 {
 		return seq
@@ -330,34 +333,40 @@ func Rewrite(seq gates.Sequence, tab *gates.Table) gates.Sequence {
 		if pass%2 == 1 && len(cur) > 1 {
 			offset = 1 // shift segmentation to heal junctions
 		}
-		next := append(gates.Sequence{}, cur[:offset]...)
+		next := append(make(gates.Sequence, 0, len(cur)+8), cur[:offset]...)
 		i := offset
 		changed := false
 		for i < len(cur) {
 			// Grow the window to the maximal T budget.
 			j := i
 			tcount := 0
-			u := gates.Sequence(nil).UMat()
+			u := ring.UIdentity()
 			for j < len(cur) {
 				g := cur[j]
 				if g.IsT() && tcount == tab.MaxT {
 					break
 				}
-				u = u.Mul(g.UMat())
+				g.RightMul(&u)
 				if g.IsT() {
 					tcount++
 				}
 				j++
 			}
+			if j == i {
+				next = append(next, cur[i])
+				i++
+				continue
+			}
 			window := cur[i:j]
 			if e, ok := tab.Find(u); ok {
-				rep := e.Sequence()
-				if better(rep, window) {
-					next = append(next, rep...)
+				mark := len(next)
+				next = e.AppendSequence(next)
+				if better(next[mark:], window) {
 					changed = true
 					i = j
 					continue
 				}
+				next = next[:mark]
 			}
 			next = append(next, window...)
 			i = j

@@ -100,6 +100,35 @@ func (g Gate) UMat() ring.UMat {
 	panic("gates: unknown gate")
 }
 
+// RightMul sets *m = m·g exactly, as column operations on m (see
+// ring.UMat.PhaseCol): equal to m.Mul(g.UMat()) for a reduced m, with no
+// gate matrix built and no entry products taken.
+func (g Gate) RightMul(m *ring.UMat) {
+	switch g {
+	case I:
+	case X:
+		m.SwapCols()
+	case Y: // [[0, −i], [i, 0]]
+		m.SwapCols()
+		m.PhaseCol(0, 2)
+		m.PhaseCol(1, 6)
+	case Z:
+		m.PhaseCol(1, 4)
+	case H:
+		m.HadamardCols()
+	case S:
+		m.PhaseCol(1, 2)
+	case Sdg:
+		m.PhaseCol(1, 6)
+	case T:
+		m.PhaseCol(1, 1)
+	case Tdg:
+		m.PhaseCol(1, 7)
+	default:
+		panic("gates: unknown gate")
+	}
+}
+
 // Adjoint returns g†.
 func (g Gate) Adjoint() Gate {
 	switch g {
@@ -133,7 +162,7 @@ func (s Sequence) Matrix() qmat.M2 {
 func (s Sequence) UMat() ring.UMat {
 	m := ring.UIdentity()
 	for _, g := range s {
-		m = m.Mul(g.UMat())
+		g.RightMul(&m)
 	}
 	return m
 }

@@ -290,3 +290,28 @@ func BenchmarkTableLookup(b *testing.B) {
 		tab.Find(words[i%len(words)])
 	}
 }
+
+// TestRightMulMatchesMul: the gate-specialized multiply equals the
+// generic one for every gate on random exact products, and so does
+// Sequence.UMat, which is built from it.
+func TestRightMulMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 300; trial++ {
+		seq := make(Sequence, rng.Intn(61))
+		u := ring.UIdentity()
+		for i := range seq {
+			seq[i] = Gate(rng.Intn(int(numGates)))
+			u = u.Mul(seq[i].UMat())
+		}
+		if got := seq.UMat(); got != u {
+			t.Fatalf("%v: Sequence.UMat %v, generic product %v", seq, got, u)
+		}
+		for g := I; g < numGates; g++ {
+			got := u
+			g.RightMul(&got)
+			if want := u.Mul(g.UMat()); got != want {
+				t.Fatalf("%v·%v: RightMul %v, Mul %v", seq, g, got, want)
+			}
+		}
+	}
+}

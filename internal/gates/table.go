@@ -23,7 +23,11 @@ type Entry struct {
 
 // Sequence reconstructs the gate sequence (matrix-product order).
 func (e *Entry) Sequence() Sequence {
-	s := make(Sequence, 0, int(e.NSyl)*3+6)
+	return e.AppendSequence(make(Sequence, 0, int(e.NSyl)*3+6))
+}
+
+// AppendSequence appends the gate sequence of Sequence to s.
+func (e *Entry) AppendSequence(s Sequence) Sequence {
 	if e.LeadT {
 		s = append(s, T)
 	}

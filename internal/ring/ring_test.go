@@ -313,3 +313,79 @@ func signFloat(x float64) int {
 	}
 	return 0
 }
+
+// randomProduct is the exact product of n random Clifford+T generators,
+// formed with the generic Mul.
+func randomProduct(rng *rand.Rand, n int) UMat {
+	gens := []UMat{UGateT(), UGateTdg(), UGateS(), UGateSdg(), UGateH(), UGateX(), UGateY(), UGateZ()}
+	u := UIdentity()
+	for i := 0; i < n; i++ {
+		u = u.Mul(gens[rng.Intn(len(gens))])
+	}
+	return u
+}
+
+func TestMulOmegaPowMatchesRepeatedMulOmega(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		z := randZOmega(rng, 1000)
+		want := z
+		for k := 0; k < 24; k++ {
+			if got := z.MulOmegaPow(k); got != want {
+				t.Fatalf("ω^%d·%v = %v, want %v", k, z, got, want)
+			}
+			if got := z.MulOmegaPow(k - 24); got != want {
+				t.Fatalf("ω^%d·%v = %v, want %v", k-24, z, got, want)
+			}
+			want = want.MulOmega()
+		}
+	}
+}
+
+// TestColumnOpsMatchMul: each in-place column operation equals the
+// generic Mul by the gate matrix it stands for, on random reduced products.
+func TestColumnOpsMatchMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		u := randomProduct(rng, rng.Intn(60))
+		for k := 0; k < 8; k++ {
+			for j := 0; j < 2; j++ {
+				d := UIdentity()
+				d.E[j][j] = OmegaUnit(k)
+				got := u
+				got.PhaseCol(j, k)
+				if want := u.Mul(d); got != want {
+					t.Fatalf("PhaseCol(%d, %d) on %v: %v, want %v", j, k, u, got, want)
+				}
+			}
+		}
+		got := u
+		got.SwapCols()
+		if want := u.Mul(UGateX()); got != want {
+			t.Fatalf("SwapCols on %v: %v, want %v", u, got, want)
+		}
+		got = u
+		got.HadamardCols()
+		if want := u.Mul(UGateH()); got != want {
+			t.Fatalf("HadamardCols on %v: %v, want %v", u, got, want)
+		}
+	}
+}
+
+// TestCanonicalKeyMatchesPhaseRotations: the key is the least coefficient
+// serialization over the eight matrices ω^j·m.
+func TestCanonicalKeyMatchesPhaseRotations(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 300; trial++ {
+		u := randomProduct(rng, rng.Intn(60))
+		best := u.coeffs()
+		for j := 1; j < 8; j++ {
+			if c := u.MulPhase(j).coeffs(); lessCoeffs(c, best) {
+				best = c
+			}
+		}
+		if got, want := u.CanonicalKey(), (Key{K: int8(u.K), C: best}); got != want {
+			t.Fatalf("CanonicalKey(%v) = %v, want %v", u, got, want)
+		}
+	}
+}

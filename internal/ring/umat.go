@@ -83,17 +83,41 @@ func (m UMat) Mul(n UMat) UMat {
 	return r
 }
 
+// Right-multiplication by a Clifford+T generator, in place. Every gate of
+// the alphabet is a column operation: m·diag(1, ω^k) scales column 1,
+// m·X swaps the columns, and m·H replaces them by their sum and
+// difference over √2. On a reduced m (every UMat this package builds is
+// reduced) each leaves m reduced and equal to the generic Mul by the
+// gate's matrix, without forming that matrix or the four entry products.
+
+// PhaseCol multiplies column j of m by ω^k.
+func (m *UMat) PhaseCol(j, k int) {
+	m.E[0][j] = m.E[0][j].MulOmegaPow(k)
+	m.E[1][j] = m.E[1][j].MulOmegaPow(k)
+}
+
+// SwapCols exchanges the columns of m: m ← m·X.
+func (m *UMat) SwapCols() {
+	m.E[0][0], m.E[0][1] = m.E[0][1], m.E[0][0]
+	m.E[1][0], m.E[1][1] = m.E[1][1], m.E[1][0]
+}
+
+// HadamardCols sets m ← m·H: columns (c0, c1) become (c0+c1, c0−c1) over
+// one more factor of √2, then common √2 factors are divided out.
+func (m *UMat) HadamardCols() {
+	for i := 0; i < 2; i++ {
+		a, b := m.E[i][0], m.E[i][1]
+		m.E[i][0], m.E[i][1] = a.Add(b), a.Sub(b)
+	}
+	m.K++
+	m.reduce()
+}
+
 // MulPhase returns ω^j · m.
 func (m UMat) MulPhase(j int) UMat {
-	u := OmegaUnit(j)
-	var r UMat
-	r.K = m.K
-	for i := 0; i < 2; i++ {
-		for jj := 0; jj < 2; jj++ {
-			r.E[i][jj] = m.E[i][jj].Mul(u)
-		}
-	}
-	return r
+	m.PhaseCol(0, j)
+	m.PhaseCol(1, j)
+	return m
 }
 
 // Dagger returns the conjugate transpose m†.
@@ -173,25 +197,18 @@ func lessCoeffs(a, b [16]int32) bool {
 // The matrix must already be reduced (it always is when built via Mul).
 func (m UMat) CanonicalKey() Key {
 	best := m.coeffs()
-	cur := m
+	cur := best
 	for j := 1; j < 8; j++ {
-		cur = cur.mulOmegaInPlace()
-		if c := cur.coeffs(); lessCoeffs(c, best) {
-			best = c
+		// ω·(a, b, c, d) = (−d, a, b, c), entry by entry; int32 truncation
+		// commutes with negation, so this is the serialization of ω^j·m.
+		for e := 0; e < len(cur); e += 4 {
+			cur[e], cur[e+1], cur[e+2], cur[e+3] = -cur[e+3], cur[e], cur[e+1], cur[e+2]
+		}
+		if lessCoeffs(cur, best) {
+			best = cur
 		}
 	}
 	return Key{K: int8(m.K), C: best}
-}
-
-func (m UMat) mulOmegaInPlace() UMat {
-	var r UMat
-	r.K = m.K
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			r.E[i][j] = m.E[i][j].MulOmega()
-		}
-	}
-	return r
 }
 
 // Equal reports exact equality (including phase).
@@ -207,7 +224,7 @@ func (m UMat) EqualUpToPhase(n UMat) bool {
 		if m == cur {
 			return true
 		}
-		cur = cur.mulOmegaInPlace()
+		cur = cur.MulPhase(1)
 	}
 	return false
 }

@@ -30,14 +30,7 @@ func ZOmegaFromInt(n int64) ZOmega { return ZOmega{A: n} }
 
 // OmegaUnit returns ω^j for any integer j (ω has order 8 up to sign; order 16
 // is not needed since ω⁸ = 1).
-func OmegaUnit(j int) ZOmega {
-	j = ((j % 8) + 8) % 8
-	z := ZOmega{A: 1}
-	for i := 0; i < j; i++ {
-		z = z.MulOmega()
-	}
-	return z
-}
+func OmegaUnit(j int) ZOmega { return ZOmega{A: 1}.MulOmegaPow(j) }
 
 // Add returns z + w.
 func (z ZOmega) Add(w ZOmega) ZOmega {
@@ -58,6 +51,28 @@ func (z ZOmega) IsZero() bool { return z.A == 0 && z.B == 0 && z.C == 0 && z.D =
 // MulOmega returns ω·z. Multiplication by ω shifts coefficients:
 // (a, b, c, d) ↦ (−d, a, b, c) because ω⁴ = −1.
 func (z ZOmega) MulOmega() ZOmega { return ZOmega{-z.D, z.A, z.B, z.C} }
+
+// MulOmegaPow returns ω^k·z for any integer k: MulOmega applied k mod 8
+// times, as one signed permutation of the coefficients.
+func (z ZOmega) MulOmegaPow(k int) ZOmega {
+	switch k & 7 {
+	case 1:
+		return ZOmega{-z.D, z.A, z.B, z.C}
+	case 2:
+		return ZOmega{-z.C, -z.D, z.A, z.B}
+	case 3:
+		return ZOmega{-z.B, -z.C, -z.D, z.A}
+	case 4:
+		return ZOmega{-z.A, -z.B, -z.C, -z.D}
+	case 5:
+		return ZOmega{z.D, -z.A, -z.B, -z.C}
+	case 6:
+		return ZOmega{z.C, z.D, -z.A, -z.B}
+	case 7:
+		return ZOmega{z.B, z.C, z.D, -z.A}
+	}
+	return z
+}
 
 // Mul returns z·w (polynomial multiplication modulo ω⁴ = −1).
 func (z ZOmega) Mul(w ZOmega) ZOmega {

@@ -1,21 +1,20 @@
 // Package optimize is the public T-count circuit-optimizer subsystem: a
 // registry of named rewrite rules (Optimizer implementations) plus a
 // fixed-point Driver that applies them until no rule improves the
-// circuit. It promotes the repository's experiment-only optimizers into
-// first-class citizens of the compilation stack:
+// circuit. Its rules are first-class citizens of the compilation stack:
 //
 //   - "foldphases" — phase folding: CNOT-parity tracking merges diagonal
 //     phase gates (T/S/Z/RZ) applied to the same parity term, the primary
-//     mechanism by which ZX-calculus optimizers reclaim T gates
-//     (promoted from internal/zxopt, the PyZX stand-in for RQ5);
+//     mechanism by which ZX-calculus optimizers reclaim T gates (the
+//     PyZX stand-in for RQ5);
 //   - "peephole" — exact peephole rewriting of single-qubit gate runs
 //     against the step-0 enumeration table of minimal Clifford+T forms
 //     (trasyn's step-3 rewriting applied circuit-wide);
 //   - "zxzxz" — partition-and-reinstantiate resynthesis into the fixed
-//     ZXZXZ template RZ·SX·RZ·SX·RZ (promoted from internal/resynth, the
-//     BQSKit stand-in for Figure 12). Unlike the other rules it trades
-//     structure for rotation count and is therefore not in the default
-//     rule set; it exists for resynthesis pipelines and comparisons.
+//     ZXZXZ template RZ·SX·RZ·SX·RZ (the BQSKit stand-in for Figure
+//     12). Unlike the other rules it trades structure for rotation count
+//     and is therefore not in the default rule set; it exists for
+//     resynthesis pipelines and comparisons.
 //
 // Every registered optimizer preserves the circuit unitary exactly (up
 // to global phase), which the package property tests verify by

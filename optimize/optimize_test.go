@@ -8,6 +8,7 @@ import (
 
 	"repro/circuit"
 	"repro/circuit/gen"
+	"repro/internal/qmat"
 	"repro/internal/sim"
 )
 
@@ -103,8 +104,7 @@ func TestDriverPreservesUnitaryAndNeverIncreasesT(t *testing.T) {
 }
 
 // TestDriverReachesFixedPoint: a second run on the driver's output finds
-// nothing (the 6-pass cap of the old zxopt.Optimize is gone), and the
-// result reports convergence with per-rule hit counters.
+// nothing, and the result reports convergence with per-rule hit counters.
 func TestDriverReachesFixedPoint(t *testing.T) {
 	c := gen.RandomCliffordT(3, 120, 9)
 	res, err := Run(c)
@@ -190,6 +190,51 @@ func TestFoldPhasesRespectsHBarrier(t *testing.T) {
 	if f.TCount() != 2 {
 		t.Fatalf("H barrier violated: T=%d", f.TCount())
 	}
+	if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(f)); d > 1e-7 {
+		t.Fatalf("unitary changed: %v", d)
+	}
+}
+
+// TestFoldPhasesMergesParityPattern: CX(0,1)·T(1)·CX(0,1)·…·CX(0,1)·T(1)·
+// CX(0,1) — both T's act on the two-variable parity x0⊕x1 once the
+// peephole has cancelled the H·H between them, and must merge.
+func TestFoldPhasesMergesParityPattern(t *testing.T) {
+	c := circuit.New(2)
+	c.CX(0, 1).T(1).CX(0, 1).H(0).H(0).CX(0, 1).T(1).CX(0, 1)
+	res, err := Run(c, FoldPhases(), NewPeephole(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Circuit
+	if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(f)); d > 1e-6 {
+		t.Fatalf("unitary changed: %v", d)
+	}
+	if f.TCount() != 0 {
+		t.Fatalf("expected parity T's to fold to S: T=%d", f.TCount())
+	}
+}
+
+// TestPeepholePreservesUnitaryAndShrinks: the peephole alone keeps the
+// unitary, never raises the T count, and shrinks random Clifford+T runs.
+func TestPeepholePreservesUnitaryAndShrinks(t *testing.T) {
+	before, after := 0, 0
+	for trial := 0; trial < 20; trial++ {
+		c := gen.RandomCliffordT(2, 50, int64(100+trial))
+		p, err := NewPeephole(5).Optimize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(p)); d > 1e-6 {
+			t.Fatalf("trial %d: peephole changed the unitary: %v", trial, d)
+		}
+		if p.TCount() > c.TCount() {
+			t.Fatalf("trial %d: peephole increased T count %d → %d", trial, c.TCount(), p.TCount())
+		}
+		before, after = before+len(c.Ops), after+len(p.Ops)
+	}
+	if after >= before {
+		t.Fatalf("peephole never shrank a circuit: %d → %d ops", before, after)
+	}
 }
 
 // TestEmitPhaseAngles: the discrete-gate table for every π/4 multiple
@@ -240,6 +285,22 @@ func TestZXZXZEmitsRzBasisAndInflates(t *testing.T) {
 	}
 	if res.After.TCount > res.Before.TCount || res.After.Clifford > res.Before.Clifford {
 		t.Fatalf("driver regressed under zxzxz: %+v → %+v", res.Before, res.After)
+	}
+}
+
+// TestZXZXZTemplate: RZ(φ+π)·SX·RZ(θ+π)·SX·RZ(λ), with SX = H·S·H, is
+// U3(θ, φ, λ) up to global phase — the identity the zxzxz rule emits.
+func TestZXZXZTemplate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sx := qmat.MulAll(qmat.H(), qmat.S(), qmat.H())
+	for i := 0; i < 200; i++ {
+		th := rng.Float64() * math.Pi
+		ph := (rng.Float64() - 0.5) * 4 * math.Pi
+		la := (rng.Float64() - 0.5) * 4 * math.Pi
+		v := qmat.MulAll(qmat.Rz(ph+math.Pi), sx, qmat.Rz(th+math.Pi), sx, qmat.Rz(la))
+		if d := qmat.Distance(qmat.U3(th, ph, la), v); d > 1e-7 {
+			t.Fatalf("ZXZXZ template broken: θ=%v φ=%v λ=%v d=%v", th, ph, la, d)
+		}
 	}
 }
 

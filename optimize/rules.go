@@ -1,9 +1,8 @@
 package optimize
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/circuit"
@@ -15,8 +14,7 @@ import (
 // --- phase folding ---
 
 // foldPhases is the "foldphases" rule: CNOT-parity tracking merges
-// diagonal phase gates applied to the same parity term (promoted from
-// internal/zxopt).
+// diagonal phase gates applied to the same parity term.
 type foldPhases struct{}
 
 // FoldPhases returns the phase-folding rule: it merges diagonal phase
@@ -29,79 +27,63 @@ func FoldPhases() Optimizer { return foldPhases{} }
 
 func (foldPhases) Name() string { return "foldphases" }
 
+// phaseSlot is one merged phase: the summed angle of every phase gate on
+// one parity, emitted in place of the first such gate, input op first.
 type phaseSlot struct {
 	angle float64
 	qubit int
+	first int
 }
 
 func (foldPhases) Optimize(c *circuit.Circuit) (*circuit.Circuit, error) {
-	nextVar := 0
-	fresh := func() int { v := nextVar; nextVar++; return v }
+	keys := newParityKeys()
 	parity := make([][]int, c.N)
 	for q := range parity {
-		parity[q] = []int{fresh()}
+		parity[q] = []int{keys.newVar()}
 	}
-	keyOf := func(vars []int) string { return fmt.Sprint(vars) }
-
-	slots := map[string]*phaseSlot{} // parity key → accumulated phase
-	slotAt := map[int]*phaseSlot{}   // output position → slot
-	var outOps []circuit.Op
-
-	angleOf := func(op circuit.Op) (float64, bool) {
-		switch op.G {
-		case circuit.Z:
-			return math.Pi, true
-		case circuit.S:
-			return math.Pi / 2, true
-		case circuit.Sdg:
-			return -math.Pi / 2, true
-		case circuit.T:
-			return math.Pi / 4, true
-		case circuit.Tdg:
-			return -math.Pi / 4, true
-		case circuit.RZ:
-			return op.P[0], true
-		}
-		return 0, false
-	}
-	for _, op := range c.Ops {
-		if a, ok := angleOf(op); ok {
+	// Each qubit owns its parity slice, so updates reuse its storage.
+	fresh := func(q int) { parity[q] = append(parity[q][:0], keys.newVar()) }
+	var slots []phaseSlot
+	var diff []int
+	for i, op := range c.Ops {
+		if a, ok := phaseAngle(op); ok {
 			q := op.Q[0]
-			k := keyOf(parity[q])
-			if s, exists := slots[k]; exists {
-				s.angle += a
-				continue
+			if s, found := keys.slot(parity[q], len(slots)); found {
+				slots[s].angle += a
+			} else {
+				slots = append(slots, phaseSlot{angle: a, qubit: q, first: i})
 			}
-			s := &phaseSlot{angle: a, qubit: q}
-			slots[k] = s
-			slotAt[len(outOps)] = s
-			outOps = append(outOps, circuit.Op{}) // placeholder
 			continue
 		}
 		switch {
 		case op.G == circuit.CX:
-			parity[op.Q[1]] = symdiff(parity[op.Q[1]], parity[op.Q[0]])
-			outOps = append(outOps, op)
+			t := op.Q[1]
+			diff = symdiff(diff[:0], parity[t], parity[op.Q[0]])
+			parity[t] = append(parity[t][:0], diff...)
 		case op.G == circuit.CZ:
 			// Diagonal: commutes with Z-phases, parities unchanged.
-			outOps = append(outOps, op)
 		case op.G == circuit.SWAP:
 			// Relabeling: the parities travel with the qubits.
 			parity[op.Q[0]], parity[op.Q[1]] = parity[op.Q[1]], parity[op.Q[0]]
-			outOps = append(outOps, op)
 		case op.G == circuit.I:
 		default:
-			parity[op.Q[0]] = []int{fresh()}
+			fresh(op.Q[0])
 			if op.G.IsTwoQubit() {
-				parity[op.Q[1]] = []int{fresh()}
+				fresh(op.Q[1])
 			}
-			outOps = append(outOps, op)
 		}
 	}
-	out := circuit.New(c.N)
-	for i, op := range outOps {
-		if s, ok := slotAt[i]; ok {
-			emitPhase(out, s.qubit, s.angle)
+	// Each slot's phase takes its first gate's place; the gates merged
+	// into it and identities are dropped; every other op is kept.
+	out := &circuit.Circuit{N: c.N, Ops: make([]circuit.Op, 0, len(c.Ops))}
+	next := 0 // slots are in input order
+	for i, op := range c.Ops {
+		if next < len(slots) && slots[next].first == i {
+			emitPhase(out, slots[next].qubit, slots[next].angle)
+			next++
+			continue
+		}
+		if _, ok := phaseAngle(op); ok || op.G == circuit.I {
 			continue
 		}
 		out.Add(op)
@@ -109,23 +91,85 @@ func (foldPhases) Optimize(c *circuit.Circuit) (*circuit.Circuit, error) {
 	return out, nil
 }
 
-// symdiff returns the sorted symmetric difference of two sorted sets.
-func symdiff(a, b []int) []int {
-	m := map[int]bool{}
-	for _, x := range a {
-		m[x] = !m[x]
+// phaseAngle returns the RZ angle of a diagonal phase gate.
+func phaseAngle(op circuit.Op) (float64, bool) {
+	switch op.G {
+	case circuit.Z:
+		return math.Pi, true
+	case circuit.S:
+		return math.Pi / 2, true
+	case circuit.Sdg:
+		return -math.Pi / 2, true
+	case circuit.T:
+		return math.Pi / 4, true
+	case circuit.Tdg:
+		return -math.Pi / 4, true
+	case circuit.RZ:
+		return op.P[0], true
 	}
-	for _, x := range b {
-		m[x] = !m[x]
+	return 0, false
+}
+
+// parityKeys allocates the wire variables and maps parities, sorted
+// variable sets, to phase slots. Most parities in a lowered circuit are
+// one variable; their slots sit in single, indexed by the variable. Every
+// other set is keyed in multi by its variables' uvarint bytes: uvarints
+// are prefix-free, so distinct sets get distinct bytes, and a lookup
+// through m[string(b)] does not allocate.
+type parityKeys struct {
+	single []int // per variable v, the slot of parity {v}, or -1
+	multi  map[string]int
+	buf    []byte
+}
+
+func newParityKeys() *parityKeys { return &parityKeys{multi: map[string]int{}} }
+
+// newVar returns a fresh variable.
+func (k *parityKeys) newVar() int {
+	k.single = append(k.single, -1)
+	return len(k.single) - 1
+}
+
+// slot returns the slot of parity vars and true, or, when vars has none
+// yet, assigns it slot n and returns n and false.
+func (k *parityKeys) slot(vars []int, n int) (int, bool) {
+	if len(vars) == 1 {
+		if s := k.single[vars[0]]; s >= 0 {
+			return s, true
+		}
+		k.single[vars[0]] = n
+		return n, false
 	}
-	var out []int
-	for x, keep := range m {
-		if keep {
-			out = append(out, x)
+	k.buf = k.buf[:0]
+	for _, v := range vars {
+		k.buf = binary.AppendUvarint(k.buf, uint64(v))
+	}
+	if s, ok := k.multi[string(k.buf)]; ok {
+		return s, true
+	}
+	k.multi[string(k.buf)] = n
+	return n, false
+}
+
+// symdiff appends the symmetric difference of sorted sets a and b to dst,
+// sorted, by merging them.
+func symdiff(dst, a, b []int) []int {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	sort.Ints(out)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // emitPhase appends the cheapest discrete gates for an RZ-type phase.
@@ -194,44 +238,26 @@ func (p *peephole) Name() string { return "peephole" }
 // circuit-wide).
 func (p *peephole) Optimize(c *circuit.Circuit) (*circuit.Circuit, error) {
 	p.once.Do(func() { p.tab = gates.Shared(p.maxT) })
-	out := circuit.New(c.N)
+	out := &circuit.Circuit{N: c.N, Ops: make([]circuit.Op, 0, len(c.Ops))}
 	pending := make([]gates.Sequence, c.N) // time-ordered runs
+	var rev gates.Sequence
 	flush := func(q int) {
 		run := pending[q]
 		if len(run) == 0 {
 			return
 		}
-		pending[q] = nil
+		pending[q] = run[:0]
 		// Convert time order → matrix-product order, rewrite, convert back.
-		rev := make(gates.Sequence, len(run))
-		for i, g := range run {
-			rev[len(run)-1-i] = g
+		rev = rev[:0]
+		for i := len(run) - 1; i >= 0; i-- {
+			rev = append(rev, run[i])
 		}
-		rev = core.Rewrite(rev, p.tab)
-		for _, op := range circuit.FromSequence(rev, q) {
-			out.Add(op)
+		seq := core.Rewrite(rev, p.tab)
+		for i := len(seq) - 1; i >= 0; i-- {
+			if g := seq[i]; g != gates.I {
+				out.Add(circuit.Op{G: circuitGate[g], Q: [2]int{q, -1}})
+			}
 		}
-	}
-	toGate := func(g circuit.GateType) (gates.Gate, bool) {
-		switch g {
-		case circuit.X:
-			return gates.X, true
-		case circuit.Y:
-			return gates.Y, true
-		case circuit.Z:
-			return gates.Z, true
-		case circuit.H:
-			return gates.H, true
-		case circuit.S:
-			return gates.S, true
-		case circuit.Sdg:
-			return gates.Sdg, true
-		case circuit.T:
-			return gates.T, true
-		case circuit.Tdg:
-			return gates.Tdg, true
-		}
-		return 0, false
 	}
 	for _, op := range c.Ops {
 		if op.G.IsTwoQubit() {
@@ -240,7 +266,7 @@ func (p *peephole) Optimize(c *circuit.Circuit) (*circuit.Circuit, error) {
 			out.Add(op)
 			continue
 		}
-		if g, ok := toGate(op.G); ok {
+		if g, ok := tableGate(op.G); ok {
 			pending[op.Q[0]] = append(pending[op.Q[0]], g)
 			continue
 		}
@@ -254,6 +280,37 @@ func (p *peephole) Optimize(c *circuit.Circuit) (*circuit.Circuit, error) {
 		flush(q)
 	}
 	return out, nil
+}
+
+// tableGate maps a discrete non-identity one-qubit gate to the table's
+// alphabet.
+func tableGate(g circuit.GateType) (gates.Gate, bool) {
+	switch g {
+	case circuit.X:
+		return gates.X, true
+	case circuit.Y:
+		return gates.Y, true
+	case circuit.Z:
+		return gates.Z, true
+	case circuit.H:
+		return gates.H, true
+	case circuit.S:
+		return gates.S, true
+	case circuit.Sdg:
+		return gates.Sdg, true
+	case circuit.T:
+		return gates.T, true
+	case circuit.Tdg:
+		return gates.Tdg, true
+	}
+	return 0, false
+}
+
+// circuitGate is tableGate's inverse.
+var circuitGate = [...]circuit.GateType{
+	gates.I: circuit.I, gates.X: circuit.X, gates.Y: circuit.Y, gates.Z: circuit.Z,
+	gates.H: circuit.H, gates.S: circuit.S, gates.Sdg: circuit.Sdg,
+	gates.T: circuit.T, gates.Tdg: circuit.Tdg,
 }
 
 // --- ZXZXZ resynthesis ---
