@@ -1,24 +1,25 @@
+// Package resynth holds no code of its own. The BQSKit-substitute
+// resynthesis of Figure 12 that used to live here is optimize.ZXZXZ
+// (the "zxzxz" registry entry); these are the package's original
+// checks, run against that implementation.
 package resynth
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/circuit"
 	"repro/internal/sim"
+	"repro/optimize"
 )
 
-func TestZXZXZTemplate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		th := rng.Float64() * math.Pi
-		ph := (rng.Float64() - 0.5) * 4 * math.Pi
-		la := (rng.Float64() - 0.5) * 4 * math.Pi
-		if d := verifyTemplate(th, ph, la); d > 1e-7 {
-			t.Fatalf("ZXZXZ template broken: θ=%v φ=%v λ=%v d=%v", th, ph, la, d)
-		}
+func resynthesize(t *testing.T, c *circuit.Circuit) *circuit.Circuit {
+	t.Helper()
+	r, err := optimize.ZXZXZ().Optimize(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }
 
 func TestResynthesizePreservesUnitary(t *testing.T) {
@@ -38,7 +39,7 @@ func TestResynthesizePreservesUnitary(t *testing.T) {
 				c.CX(a, (a+1)%3)
 			}
 		}
-		r := Resynthesize(c)
+		r := resynthesize(t, c)
 		if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(r)); d > 1e-6 {
 			t.Fatalf("Resynthesize changed unitary: %v", d)
 		}
@@ -61,7 +62,7 @@ func TestResynthesizeInflatesRotations(t *testing.T) {
 		c.CX(0, 1)
 	}
 	merged := c.Clone()
-	r := Resynthesize(c)
+	r := resynthesize(t, c)
 	if r.CountRotations() <= merged.CountRotations() {
 		t.Fatalf("expected rotation inflation: %d → %d",
 			merged.CountRotations(), r.CountRotations())
