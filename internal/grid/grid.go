@@ -4,11 +4,12 @@
 // intervals/regions.
 //
 // The 2-D problem enumerated here is the gridsynth candidate search: find
-// u ∈ Z[ω] with u/√2^k in the ε-sliver {|z| ≤ 1, Re(z·e^{iθ/2}) ≥ √(1−ε²)}
-// and u•/√2^k in the closed unit disk. Candidates are produced by slicing
-// the sliver's bounding box along x with a 1-D grid solve, then solving a
-// second 1-D problem for y on the exact sliver/disk sections; λ-rescaling
-// keeps every 1-D solve proportional to its output size.
+// u ∈ Z[ω] with u/√2^k in the admission region {|z| ≤ 1,
+// Re(z·e^{iθ/2}) ≥ √(1−admit²)} and u•/√2^k in the closed unit disk.
+// Candidates are produced by slicing the region's bounding box along x
+// with a 1-D grid solve, then solving a second 1-D problem for y on the
+// region's section and the disk's; λ-rescaling keeps every 1-D solve
+// proportional to its output size.
 package grid
 
 import (
@@ -25,13 +26,47 @@ type Interval struct {
 // Len returns the interval length (negative if empty).
 func (iv Interval) Len() float64 { return iv.Hi - iv.Lo }
 
-// widen returns the interval expanded by a relative fuzz to absorb float64
-// rounding; exactness is restored by downstream verification.
-func (iv Interval) widen(abs float64) Interval {
-	return Interval{iv.Lo - abs, iv.Hi + abs}
-}
-
 const lnLambda = 0.881373587019543 // ln(1+√2)
+
+// Float tolerances. Each covers 2^3–2^5 times the worst rounding of the
+// computation it guards, so no lattice point is lost, and stays near or
+// below the admission region's depth admit²/2 down to ε ≈ 1e-7, so the
+// scan adds few points the exact tests downstream then reject.
+const (
+	// geomSlack widens the region's geometry, in original coordinates:
+	// relative to s for the chord and the x-extent, to s² for the disks'
+	// squared radii.
+	geomSlack = 0x1p-47
+	// solveSlack widens a 1-D scan's intervals, relative to the larger of
+	// its scaled embeddings, which its sums mix.
+	solveSlack = 0x1p-48
+)
+
+// maxScale bounds |j| in a λ^j rescaling.
+const maxScale = 52
+
+// lambdaPow[j] is λ^j correctly rounded, for 0 ≤ j ≤ maxScale.
+var lambdaPow = func() (p [maxScale + 1]float64) {
+	for j := range p {
+		p[j] = ring.PowLambda(j).Float()
+	}
+	return p
+}()
+
+// lambdaExp returns the exponent j for which rescaling α ↦ λ^j·α balances
+// intervals of lengths la (for α) and lb (for α•).
+func lambdaExp(la, lb float64) int {
+	j := 0
+	switch {
+	case la > 0 && lb > 0:
+		j = int(math.Round(math.Log(math.Sqrt(lb/la)) / lnLambda))
+	case la == 0 && lb > 0:
+		j = int(math.Round(math.Log(lb) / lnLambda))
+	case lb == 0 && la > 0:
+		j = -int(math.Round(math.Log(la) / lnLambda))
+	}
+	return min(max(j, -maxScale), maxScale)
+}
 
 // Solve1D returns all α = m + n√2 ∈ Z[√2] with α ∈ a and α• ∈ b.
 // Rescaling by λ = 1+√2 balances the interval lengths first (λ·λ• = −1), so
@@ -41,47 +76,45 @@ func Solve1D(a, b Interval) []ring.ZSqrt2 { return AppendSolve1D(nil, a, b) }
 // AppendSolve1D is Solve1D appending into dst (reusing its capacity), the
 // allocation-free form for callers with a scan loop.
 func AppendSolve1D(dst []ring.ZSqrt2, a, b Interval) []ring.ZSqrt2 {
-	each1D(a, b, func(sol ring.ZSqrt2) bool {
+	return appendSolve1D(dst, a, b, lambdaExp(a.Len(), b.Len()))
+}
+
+func appendSolve1D(dst []ring.ZSqrt2, a, b Interval, j int) []ring.ZSqrt2 {
+	each1D(a, b, j, func(sol ring.ZSqrt2) bool {
 		dst = append(dst, sol)
 		return true
 	})
 	return dst
 }
 
-// each1D is the lazy form of Solve1D: solutions are yielded in scan order
-// without materializing a slice, so callers enumerating enormous candidate
-// ranges (gridsynth at small ε and large k) run in O(1) memory. Yielding
-// false stops the scan; each1D reports whether the scan ran to completion.
-func each1D(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
+// each1D yields the α ∈ Z[√2] with α ∈ a and α• ∈ b, scanning
+// β = λ^j·α by its √2-coefficient, then its integer part. The order
+// depends on j alone, so two scans with one j visit the points they share
+// in the same order, whatever their intervals. Solutions are yielded
+// lazily, so callers enumerating enormous ranges run in O(1) memory.
+// Yielding false stops the scan; each1D reports whether the scan ran to
+// completion.
+func each1D(a, b Interval, j int, yield func(ring.ZSqrt2) bool) bool {
 	if a.Len() < 0 || b.Len() < 0 {
 		return true
 	}
-	la, lb := a.Len(), b.Len()
-	j := 0
-	if la > 0 && lb > 0 {
-		j = int(math.Round(math.Log(math.Sqrt(lb/la)) / lnLambda))
-	} else if la == 0 && lb > 0 {
-		j = int(math.Round(math.Log(lb) / lnLambda))
-	} else if lb == 0 && la > 0 {
-		j = -int(math.Round(math.Log(la) / lnLambda))
-	}
-	const maxScale = 52
-	if j > maxScale {
-		j = maxScale
-	}
-	if j < -maxScale {
-		j = -maxScale
-	}
 	// β = λ^j α: β ∈ λ^j·a, β• = (−1/λ)^j α•.
-	lj := math.Exp(lnLambda * float64(j))
+	lj, ljInv := lambdaPow[max(j, -j)], 1/lambdaPow[max(j, -j)]
+	if j < 0 {
+		lj, ljInv = ljInv, lj
+	}
 	sa := Interval{a.Lo * lj, a.Hi * lj}
 	var sb Interval
-	ljInv := 1 / lj
 	if j%2 == 0 {
 		sb = Interval{b.Lo * ljInv, b.Hi * ljInv}
 	} else {
 		sb = Interval{-b.Hi * ljInv, -b.Lo * ljInv}
 	}
+	// The scan's sums mix both embeddings, so its rounding scales with
+	// the larger of them.
+	d := solveSlack * max(math.Abs(sa.Lo), math.Abs(sa.Hi), math.Abs(sb.Lo), math.Abs(sb.Hi))
+	sa = Interval{sa.Lo - d, sa.Hi + d}
+	sb = Interval{sb.Lo - d, sb.Hi + d}
 	if j == 0 {
 		return each1DDirect(sa, sb, yield)
 	}
@@ -90,12 +123,8 @@ func each1D(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
 	if j < 0 {
 		linv = ring.ZSqrt2{A: 1, B: 1} // λ
 	}
-	steps := j
-	if steps < 0 {
-		steps = -steps
-	}
 	scale := ring.ZSqrt2{A: 1, B: 0}
-	for i := 0; i < steps; i++ {
+	for i := 0; i < max(j, -j); i++ {
 		scale = scale.Mul(linv)
 	}
 	return each1DDirect(sa, sb, func(sol ring.ZSqrt2) bool {
@@ -105,9 +134,6 @@ func each1D(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
 
 // each1DDirect scans n = (α − α•)/(2√2) over its feasible range.
 func each1DDirect(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
-	const fuzz = 1e-9
-	a = a.widen(fuzz * (1 + math.Abs(a.Lo) + math.Abs(a.Hi)))
-	b = b.widen(fuzz * (1 + math.Abs(b.Lo) + math.Abs(b.Hi)))
 	nLo := int64(math.Ceil((a.Lo - b.Hi) / (2 * ring.Sqrt2)))
 	nHi := int64(math.Floor((a.Hi - b.Lo) / (2 * ring.Sqrt2)))
 	if nHi-nLo > 1<<22 {
@@ -133,131 +159,73 @@ type Candidate struct {
 	U ring.ZOmega
 }
 
-// SliverParams describes the scaled candidate region for angle theta, error
-// eps and denominator exponent k.
-type SliverParams struct {
-	Theta float64
-	Eps   float64
-	K     int
-}
-
-// Sliver is the ε-sliver geometry for a fixed (θ, ε), hoisted out of the
-// per-k candidate scan: the chord constant c = √(1−ε²), the half-angle
-// rotation and the chord-normal direction are computed once per search
-// instead of once per candidate enumeration. It also owns the reusable
-// 1-D solve buffer for the inner y scans, so repeated Scan calls (one per
-// denominator exponent k) allocate nothing in steady state; the outer x
-// scan is lazy (each1D) and never materialized, which keeps memory O(1)
-// even at the large k values small ε demands.
+// Sliver is the candidate geometry for a fixed (θ, ε, admit), hoisted out
+// of the per-k scan. Two chords describe it:
+//   - the admission chord c = √(1−admit²) bounds the scan: every u with
+//     u/√2^k in {|z| ≤ 1, Re(z·e^{iθ/2}) ≥ c} and u•/√2^k in the unit
+//     disk is enumerated, disk boundaries included;
+//   - the ε chord √(1−ε²) orders it: each 1-D solve takes its λ-exponent
+//     from the ε-sliver's interval lengths, so the points it shares with
+//     an enumeration of the ε-sliver come in that enumeration's order.
+//
+// It also owns the reusable 1-D solve buffer for the inner y scans, so
+// repeated Scan calls allocate nothing in steady state; the outer x scan is
+// lazy and never materialized, which keeps memory O(1) at any k.
 // Not safe for concurrent use.
 type Sliver struct {
-	c, w       float64 // chord distance √(1−ε²) and half-width √(1−c²)
+	ce, we     float64 // ε chord √(1−ε²) and its half-width √(1−ce²)
+	c, w       float64 // admission chord √(1−admit²) and its half-width admit
 	cosP, sinP float64 // cos/sin of θ/2
 	ybuf       []ring.ZSqrt2
 }
 
-// NewSliver precomputes the sliver geometry for Rz(θ) at error ε. The
-// sliver is {z : |z| ≤ 1, Re(z·e^{iθ/2}) ≥ c}, c = √(1−ε²).
-func NewSliver(theta, eps float64) *Sliver {
-	c := math.Sqrt(math.Max(0, 1-eps*eps))
+// NewSliver precomputes the candidate geometry for Rz(θ) at error ε,
+// scanning the region whose points realize a distance of at most admit
+// (admit ≥ ε).
+func NewSliver(theta, eps, admit float64) *Sliver {
+	ce := math.Sqrt(math.Max(0, 1-eps*eps))
 	phi := theta / 2
 	return &Sliver{
-		c:    c,
-		w:    math.Sqrt(math.Max(0, 1-c*c)),
+		ce:   ce,
+		we:   math.Sqrt(math.Max(0, 1-ce*ce)),
+		c:    math.Sqrt(math.Max(0, 1-admit*admit)),
+		w:    math.Min(admit, 1),
 		cosP: math.Cos(phi),
 		sinP: math.Sin(phi),
 	}
 }
 
-// SliverCandidates enumerates u ∈ Z[ω] with u/√2^k in the ε-sliver for
-// Rz(θ) and u•/√2^k in the unit disk, stopping after limit candidates
-// (limit ≤ 0 means no limit). One-shot wrapper over Sliver.
-func SliverCandidates(p SliverParams, limit int) []Candidate {
-	return NewSliver(p.Theta, p.Eps).AppendCandidates(nil, p.K, limit)
-}
-
-// AppendCandidates enumerates the sliver grid points at denominator
-// exponent k, appending into dst (whose capacity is reused) and stopping
-// after limit candidates (limit ≤ 0 means no limit).
-func (sl *Sliver) AppendCandidates(dst []Candidate, k, limit int) []Candidate {
-	start := len(dst)
-	sl.Scan(k, func(cand Candidate) bool {
-		dst = append(dst, cand)
-		return limit <= 0 || len(dst)-start < limit
-	})
-	return dst
-}
-
-// Scan enumerates the sliver grid points at denominator exponent k in a
-// deterministic order, yielding each candidate as it is found; yielding
-// false stops the scan. Scan reports whether the enumeration ran to
-// completion. Unlike AppendCandidates it holds no candidate storage, so
-// callers that reject most candidates (gridsynth below ε ≈ 1e-4, where the
-// per-k enumeration is large) pay O(1) memory.
+// Scan enumerates the candidates at denominator exponent k in a
+// deterministic order, yielding each as it is found; yielding false stops
+// the scan. Scan reports whether the enumeration ran to completion. It
+// holds no candidate storage, so callers that reject most candidates pay
+// O(1) memory.
 func (sl *Sliver) Scan(k int, yield func(Candidate) bool) bool {
 	s := math.Pow(2, float64(k)/2) // √2^k
-	c, w := sl.c, sl.w
-	cosP, sinP := sl.cosP, sl.sinP
-
-	// Scaled sliver extreme points (see DESIGN.md): chord endpoints z± and
-	// arc apex z0, plus axis-aligned arc extremes when inside the segment.
-	pts := [3][2]float64{
-		{s * (c*cosP + w*sinP), s * (-c*sinP + w*cosP)}, // z+ = e^{−iφ}(c+iw)·s
-		{s * (c*cosP - w*sinP), s * (-c*sinP - w*cosP)}, // z−
-		{s * cosP, s * -sinP},                           // z0 = e^{−iφ}·s
-	}
-	xLo, xHi := pts[0][0], pts[0][0]
-	for _, pt := range pts[1:] {
-		xLo, xHi = math.Min(xLo, pt[0]), math.Max(xHi, pt[0])
-	}
-	// Axis extreme points of the arc (e.g. z = ±s or ±is) belong to the
-	// sliver iff they satisfy the chord constraint.
-	axes := [4][2]float64{{s, 0}, {-s, 0}, {0, s}, {0, -s}}
-	for _, pt := range axes {
-		if pt[0]*cosP-pt[1]*sinP >= c*s {
-			xLo, xHi = math.Min(xLo, pt[0]), math.Max(xHi, pt[0])
-		}
-	}
+	s2 := math.Ldexp(1, k)         // s², exactly
+	m := geomSlack * s
 
 	// Work in primed coordinates x' = √2·x so both cosets of Z[ω] are plain
 	// Z[√2] points with a parity coupling (see package ring).
+	eLo, eHi := sl.xExtent(s, sl.ce, sl.we, 0)
+	jx := lambdaExp(Interval{eLo * ring.Sqrt2, eHi * ring.Sqrt2}.Len(), Interval{-s * ring.Sqrt2, s * ring.Sqrt2}.Len())
+	xLo, xHi := sl.xExtent(s, sl.c, sl.w, m)
 	xInt := Interval{xLo * ring.Sqrt2, xHi * ring.Sqrt2}
 	// |x•| ≤ s ⇒ x'• = −√2·x• ∈ [−√2 s, √2 s].
 	xBullet := Interval{-s * ring.Sqrt2, s * ring.Sqrt2}
 
-	return each1D(xInt, xBullet, func(xp ring.ZSqrt2) bool {
+	return each1D(xInt, xBullet, jx, func(xp ring.ZSqrt2) bool {
 		x := xp.Float() / ring.Sqrt2
 		xb := -xp.Bullet().Float() / ring.Sqrt2 // x• (the bullet of x, not x')
-		// y-range of the sliver section at this x.
-		disc := s*s - x*x
-		if disc < 0 {
+		yInt, yBullet, ok := sl.section(x, xb, s, s2, m)
+		if !ok {
 			return true
 		}
-		r := math.Sqrt(disc)
-		ylo, yhi := -r, r
-		// Chord: x cosφ − y sinφ ≥ c·s.
-		switch {
-		case sinP > 1e-300:
-			yhi = math.Min(yhi, (x*cosP-c*s)/sinP)
-		case sinP < -1e-300:
-			ylo = math.Max(ylo, (x*cosP-c*s)/sinP)
-		default:
-			if x*cosP < c*s {
-				return true
-			}
+		jy, ok := sl.sectionExp(x, xb, s)
+		if !ok {
+			jy = lambdaExp(yInt.Len(), yBullet.Len())
 		}
-		if yhi < ylo {
-			return true
-		}
-		// y'• section: |y•| ≤ sqrt(s² − x•²).
-		discB := s*s - xb*xb
-		if discB < 0 {
-			return true
-		}
-		rb := math.Sqrt(discB)
-		yInt := Interval{ylo * ring.Sqrt2, yhi * ring.Sqrt2}
-		yBullet := Interval{-rb * ring.Sqrt2, rb * ring.Sqrt2}
-		sl.ybuf = AppendSolve1D(sl.ybuf[:0], yInt, yBullet)
+		sl.ybuf = appendSolve1D(sl.ybuf[:0], yInt, yBullet, jy)
 		for _, yp := range sl.ybuf {
 			// Parity coupling: int parts of x' and y' must match mod 2.
 			if (xp.A-yp.A)&1 != 0 {
@@ -269,8 +237,8 @@ func (sl *Sliver) Scan(k int, yield func(Candidate) bool) bool {
 				C: yp.B,
 				D: (yp.A - xp.A) / 2,
 			}
-			// Exact-ish final membership check in float (downstream
-			// verification is exact).
+			// Final membership check in float (downstream admission is
+			// exact).
 			z := u.Complex()
 			if !sl.inSliver(real(z), imag(z), s) {
 				continue
@@ -287,14 +255,101 @@ func (sl *Sliver) Scan(k int, yield func(Candidate) bool) bool {
 	})
 }
 
+// xExtent returns the x-range, widened by m, of the scaled region
+// {|z| ≤ s, Re(z·e^{iθ/2}) ≥ c·s} whose chord has half-width w·s: its
+// chord endpoints, its arc apex and the axis extremes of the arc that
+// satisfy the chord constraint.
+func (sl *Sliver) xExtent(s, c, w, m float64) (lo, hi float64) {
+	cosP, sinP := sl.cosP, sl.sinP
+	xs := [3]float64{
+		s * (c*cosP + w*sinP), // z+ = e^{−iφ}(c+iw)·s
+		s * (c*cosP - w*sinP), // z−
+		s * cosP,              // z0 = e^{−iφ}·s
+	}
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	axes := [4][2]float64{{s, 0}, {-s, 0}, {0, s}, {0, -s}}
+	for _, pt := range axes {
+		if pt[0]*cosP-pt[1]*sinP >= c*s-m {
+			lo, hi = math.Min(lo, pt[0]), math.Max(hi, pt[0])
+		}
+	}
+	return lo - m, hi + m
+}
+
+// section returns the y'-intervals of the scan at x: the admission
+// region's section, and the disk's at x•. The chord is widened by m along
+// its normal, the disks' squared radii by geomSlack, so lattice points on
+// the boundaries survive rounding.
+func (sl *Sliver) section(x, xb, s, s2, m float64) (yInt, yBullet Interval, ok bool) {
+	disc := s2 - x*x + geomSlack*s2
+	if disc < 0 {
+		return Interval{}, Interval{}, false
+	}
+	r := math.Sqrt(disc)
+	ylo, yhi := -r, r
+	// Chord: x cosφ − y sinφ ≥ c·s.
+	switch {
+	case sl.sinP > 1e-300:
+		yhi = math.Min(yhi, (x*sl.cosP-sl.c*s+m)/sl.sinP)
+	case sl.sinP < -1e-300:
+		ylo = math.Max(ylo, (x*sl.cosP-sl.c*s+m)/sl.sinP)
+	default:
+		if x*sl.cosP < sl.c*s-m {
+			return Interval{}, Interval{}, false
+		}
+	}
+	if yhi < ylo {
+		return Interval{}, Interval{}, false
+	}
+	// y'• section: |y•| ≤ √(s² − x•²).
+	discB := s2 - xb*xb + geomSlack*s2
+	if discB < 0 {
+		return Interval{}, Interval{}, false
+	}
+	rb := math.Sqrt(discB)
+	return Interval{ylo * ring.Sqrt2, yhi * ring.Sqrt2}, Interval{-rb * ring.Sqrt2, rb * ring.Sqrt2}, true
+}
+
+// sectionExp returns the λ-exponent of the y solve at x of an enumeration
+// of the ε-sliver: the exponent its section's lengths give, with ok=false
+// when that section is empty.
+func (sl *Sliver) sectionExp(x, xb, s float64) (int, bool) {
+	disc := s*s - x*x
+	if disc < 0 {
+		return 0, false
+	}
+	r := math.Sqrt(disc)
+	ylo, yhi := -r, r
+	switch {
+	case sl.sinP > 1e-300:
+		yhi = math.Min(yhi, (x*sl.cosP-sl.ce*s)/sl.sinP)
+	case sl.sinP < -1e-300:
+		ylo = math.Max(ylo, (x*sl.cosP-sl.ce*s)/sl.sinP)
+	default:
+		if x*sl.cosP < sl.ce*s {
+			return 0, false
+		}
+	}
+	if yhi < ylo {
+		return 0, false
+	}
+	discB := s*s - xb*xb
+	if discB < 0 {
+		return 0, false
+	}
+	rb := math.Sqrt(discB)
+	return lambdaExp(Interval{ylo * ring.Sqrt2, yhi * ring.Sqrt2}.Len(), Interval{-rb * ring.Sqrt2, rb * ring.Sqrt2}.Len()), true
+}
+
 // PreError returns the unitary distance (Eq. (2)) that candidate u will
 // realize at denominator exponent k, computed from u alone: the gridsynth
 // column structure fixes |Tr(Rz(θ_g)†·V)|/2 = |Re(u·e^{iθ_g/2})|/√2^k, so
 // the distance of the assembled unitary is known before the norm equation
 // is solved or any gate is synthesized. Accuracy is a few float64 ulp
-// (~1e-15 absolute), far inside the admission slack at every practical ε —
-// unlike the fuzzy geometric sliver test whose widening exceeds the true
-// sliver depth below ε ≈ 1e-5, this is the authoritative candidate filter.
+// (~1e-15 absolute), far inside the admission slack at every practical ε.
 func (sl *Sliver) PreError(u ring.ZOmega, k int) float64 {
 	s := math.Pow(2, float64(k)/2)
 	z := u.Complex()

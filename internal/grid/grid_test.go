@@ -9,6 +9,25 @@ import (
 	"repro/internal/ring"
 )
 
+// SliverParams describes the candidate region for angle Theta, error Eps
+// and denominator exponent K (admitting exactly the ε-sliver).
+type SliverParams struct {
+	Theta float64
+	Eps   float64
+	K     int
+}
+
+// SliverCandidates enumerates the candidates of p, stopping after limit
+// of them (limit ≤ 0 means no limit).
+func SliverCandidates(p SliverParams, limit int) []Candidate {
+	var out []Candidate
+	NewSliver(p.Theta, p.Eps, p.Eps).Scan(p.K, func(c Candidate) bool {
+		out = append(out, c)
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
 // bruteSolve1D enumerates solutions exhaustively for small intervals.
 func bruteSolve1D(a, b Interval) []ring.ZSqrt2 {
 	var out []ring.ZSqrt2

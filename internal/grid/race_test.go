@@ -1,0 +1,7 @@
+//go:build race
+
+package grid
+
+// raceEnabled reports a -race build, under which the reference tests
+// enumerate fewer denominator exponents and angles.
+const raceEnabled = true

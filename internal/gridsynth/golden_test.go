@@ -16,6 +16,11 @@ import (
 // U3 workflow use: 54 angles at each of 11 thresholds. To re-record after
 // a change meant to alter outputs, delete the file and run the test: that
 // run records it and fails, so it cannot pass unchecked.
+//
+// The file was recorded before exact admission and the tight scan. Entries
+// that change moved carry the recorded result under "was"; only entries
+// below ε = 1e-5 may have one, none with a larger K, and no threshold's
+// mean T may exceed its recorded mean.
 const goldenFile = "testdata/rz_golden.json"
 
 // goldenEps are the recorded thresholds: u3_single's and qaoa_auto's
@@ -44,6 +49,14 @@ type goldenEntry struct {
 	Error    string  `json:"error"`
 	SeqSHA   string  `json:"seq_sha256"`
 	Err      string  `json:"err,omitempty"`
+	Was      *was    `json:"was,omitempty"`
+}
+
+// was is an entry's result as first recorded, kept where it changed.
+type was struct {
+	K     int    `json:"k"`
+	T     int    `json:"t"`
+	Error string `json:"error"`
 }
 
 func goldenRun(theta, eps float64) goldenEntry {
@@ -83,12 +96,30 @@ func TestRzGolden(t *testing.T) {
 	if len(entries) != len(goldenEps)*len(goldenAngles()) {
 		t.Fatalf("%s has %d entries, want %d", goldenFile, len(entries), len(goldenEps)*len(goldenAngles()))
 	}
+	sumT, sumWasT := map[float64]int{}, map[float64]int{}
+	for _, e := range entries {
+		sumT[e.Eps] += e.T
+		sumWasT[e.Eps] += e.T
+		if e.Was == nil {
+			continue
+		}
+		sumWasT[e.Eps] += e.Was.T - e.T
+		if e.Eps >= 1e-5 || e.K > e.Was.K {
+			t.Errorf("entry %s at ε=%v changed from K=%d to K=%d", e.Theta, e.Eps, e.Was.K, e.K)
+		}
+	}
+	for eps, n := range sumT {
+		if n > sumWasT[eps] {
+			t.Errorf("ε=%v: total T %d exceeds the recorded %d", eps, n, sumWasT[eps])
+		}
+	}
 	step := 1
 	if raceEnabled {
 		step = 9
 	}
 	for i := 0; i < len(entries); i += step {
 		want := entries[i]
+		want.Was = nil
 		theta, err := fromHexBits(want.Theta)
 		if err != nil {
 			t.Fatal(err)

@@ -29,15 +29,6 @@ import (
 type Options struct {
 	// MaxK caps the denominator exponent (default 120 ≈ ε ~ 1e-18).
 	MaxK int
-	// CandidatesPerK bounds the admitted candidates (those passing the
-	// PreError distance screen) attempted per (k, phase grid). The default
-	// 4096 is sized for small ε, where thousands of geometrically valid
-	// candidates per k compete and only ~0.1% of them have a solvable norm
-	// equation; the residue pre-filter keeps a failed attempt at ~1µs, so
-	// a deep budget is cheap and the search terminates within a k or two
-	// of the information-theoretic minimum. Larger ε never fills the
-	// budget — the first admitted candidates solve almost immediately.
-	CandidatesPerK int
 	// Table supplies the residual lookup for exact synthesis (default
 	// gates.Shared(4)).
 	Table *gates.Table
@@ -66,12 +57,15 @@ var ErrNoSolution = errors.New("gridsynth: no solution within MaxK")
 // ErrCanceled is returned when Options.Cancel fires mid-search.
 var ErrCanceled = errors.New("gridsynth: canceled")
 
+// candidatesPerK bounds the candidates admitted per (k, phase grid). Exact
+// admission leaves only candidates whose norm equation can have a
+// solution; at most 11 per (k, grid) were seen over the benchmark's
+// circuits, so the bound is a backstop that no search is known to reach.
+const candidatesPerK = 4096
+
 func (o Options) filled() Options {
 	if o.MaxK <= 0 {
 		o.MaxK = 120
-	}
-	if o.CandidatesPerK <= 0 {
-		o.CandidatesPerK = 4096
 	}
 	if o.Table == nil {
 		o.Table = gates.Shared(4)
@@ -81,21 +75,23 @@ func (o Options) filled() Options {
 
 // Rz synthesizes Rz(theta) to unitary distance ≤ eps.
 //
-// The hot-path state — sliver geometry per phase grid, the Diophantine
+// The hot-path state — candidate geometry per phase grid, the Diophantine
 // solver with its scratch and per-prime memo, and the in-place ring
 // temporaries — is created once here and reused across every
 // (k, candidate) pair, so the search allocates only when it finds a
 // solution (plus unavoidable math/big growth).
 //
-// Candidates stream lazily out of grid.Sliver.Scan and are admitted by
-// grid.Sliver.PreError — the distance the assembled unitary will realize,
-// computed from the numerator alone to float64 accuracy — before any
-// norm-equation or synthesis work is spent on them. Admission ordering is
-// the enumeration ordering, so results are deterministic. (The fuzzy
-// geometric sliver test alone over-admits by orders of magnitude below
-// ε ≈ 1e-5, which used to fill the per-k candidate budget with
-// false positives and drive the search into runaway k; with PreError
-// screening, ε = 1e-6 synthesizes in tens of milliseconds.)
+// Candidates stream lazily out of grid.Sliver.Scan, which enumerates the
+// region whose points realize a distance within the acceptance bound,
+// with both disks exact. Each is admitted only if ξ = 2^k − |u|² is
+// doubly non-negative, decided exactly (no norm equation has a solution
+// otherwise), and then if grid.Sliver.PreError — the distance the
+// assembled unitary will realize, computed from the numerator alone — is
+// within the bound. Only admitted candidates count toward candidatesPerK
+// or reach the norm equation. Scan visits the candidates it shares with
+// an enumeration of the ε-sliver in that enumeration's order, so widening
+// the scanned region to the bound changes no answer that region does not
+// contain.
 func Rz(theta, eps float64, opt Options) (Result, error) {
 	opt = opt.filled()
 	if eps <= 0 || eps >= 1 {
@@ -106,22 +102,22 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 	two := ring.NewBSqrt2(2, 0)
 	// Per-search reusable state.
 	var (
-		scr    ring.Scratch
-		u      ring.BOmega
-		n2, xi ring.BSqrt2
-		solver = dioph.NewSolver()
+		scr        ring.Scratch
+		u          ring.BOmega
+		n2, xi, xb ring.BSqrt2
+		solver     = dioph.NewSolver()
 	)
-	// Phase grid g: direction rotated by ω^{g/2} = e^{igπ/8} (see package
-	// doc); equivalent to synthesizing at θ − gπ/4.
-	slivers := [2]*grid.Sliver{
-		grid.NewSliver(theta, eps),
-		grid.NewSliver(theta-math.Pi/4, eps),
-	}
 	// The final acceptance bound, shared by the PreError admission below
 	// (with a hair of extra slack so borderline candidates reach the
 	// authoritative post-synthesis check rather than being screened out).
 	bound := eps*(1+1e-6) + 1e-7
 	admit := bound + 1e-12
+	// Phase grid g: direction rotated by ω^{g/2} = e^{igπ/8} (see package
+	// doc); equivalent to synthesizing at θ − gπ/4.
+	slivers := [2]*grid.Sliver{
+		grid.NewSliver(theta, eps, admit),
+		grid.NewSliver(theta-math.Pi/4, eps, admit),
+	}
 	for k := 0; k <= opt.MaxK; k++ {
 		if opt.Cancel != nil {
 			select {
@@ -141,7 +137,15 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 			)
 			sl := slivers[g]
 			sl.Scan(k, func(cand grid.Candidate) bool {
-				if sl.PreError(cand.U, k) > admit {
+				adm, known := admissible(cand.U, k)
+				if !known {
+					u.SetZOmega(cand.U)
+					u.Norm2To(&n2, &scr)
+					xi.SubTo(pow2k, n2)
+					xb.BulletTo(xi)
+					adm = xi.Sign() >= 0 && xb.Sign() >= 0
+				}
+				if !adm || sl.PreError(cand.U, k) > admit {
 					return true // keep scanning; no budget spent
 				}
 				admitted++
@@ -165,7 +169,7 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 						}
 					}
 				}
-				return admitted < opt.CandidatesPerK
+				return admitted < candidatesPerK
 			})
 			kAdmitted += admitted
 			if found {
@@ -180,6 +184,28 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		pow2k.MulTo(pow2k, two, &scr)
 	}
 	return Result{}, ErrNoSolution
+}
+
+// admissible reports whether ξ = 2^k − |u|² is doubly non-negative,
+// ξ ≥ 0 and ξ• ≥ 0, decided exactly in int64; known is false when a value
+// leaves int64 range and the caller must decide in big arithmetic.
+func admissible(u ring.ZOmega, k int) (adm, known bool) {
+	if k > 62 {
+		return false, false
+	}
+	n, ok := u.Norm2Checked()
+	if !ok {
+		return false, false
+	}
+	xi, ok := ring.ZSqrt2{A: 1 << k}.SubChecked(n)
+	if !ok {
+		return false, false
+	}
+	xb, ok := xi.BulletChecked()
+	if !ok {
+		return false, false
+	}
+	return xi.Sign() >= 0 && xb.Sign() >= 0, true
 }
 
 // U3 synthesizes an arbitrary single-qubit unitary by decomposing it into
