@@ -25,7 +25,7 @@ func TestAllocBudget(t *testing.T) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	tiers := map[string]float64{"1e-2": 1e-2, "1e-4": 1e-4}
+	tiers := map[string]float64{"1e-2": 1e-2, "1e-4": 1e-4, "1e-6": 1e-6}
 	for name, eps := range tiers {
 		budget, ok := cfg.Budgets[name]
 		if !ok {
