@@ -169,6 +169,41 @@ func TestLookupFindsMinimalTCount(t *testing.T) {
 	}
 }
 
+// TestFindMissesOutOfRange: a matrix whose coefficients leave the table
+// key's byte range must miss, not alias the entry its coefficients
+// truncate to, and its key must otherwise agree with ring.Key.
+func TestFindMissesOutOfRange(t *testing.T) {
+	tab := Shared(4)
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 200; trial++ {
+		w := randomWord(rng, 1+rng.Intn(12)).UMat()
+		k1, ok := keyOf(w)
+		if !ok {
+			t.Fatalf("%v: no key", w)
+		}
+		v := randomWord(rng, 1+rng.Intn(12)).UMat()
+		k2, _ := keyOf(v)
+		if (k1 == k2) != (w.CanonicalKey() == v.CanonicalKey()) {
+			t.Fatalf("%v, %v: table keys equal %v, ring keys equal %v", w, v, k1 == k2, w.CanonicalKey() == v.CanonicalKey())
+		}
+		if _, ok := tab.Find(w); !ok {
+			continue
+		}
+		for _, shift := range []int64{256, -256, 128} {
+			far := w
+			far.E[1][0].B += shift
+			if _, ok := tab.Find(far); ok {
+				t.Fatalf("%v found although a coefficient was shifted by %d", far, shift)
+			}
+		}
+	}
+	big := ring.UIdentity()
+	big.K = 200
+	if _, ok := tab.Find(big); ok {
+		t.Fatal("denominator exponent 200 found")
+	}
+}
+
 func TestCollect(t *testing.T) {
 	tab := Shared(4)
 	all := tab.Collect(0, 4)

@@ -56,8 +56,57 @@ type Table struct {
 	MaxT   int
 	Levels [][]Entry // Levels[t] = operators with minimal T count exactly t
 	// lookup indexes the levels of the table it was built for; in a view
-	// (see Shared) those include levels above MaxT, which FindKey skips.
-	lookup map[ring.Key]Ref
+	// (see Shared) those include levels above MaxT, which Find skips.
+	lookup map[tableKey]Ref
+}
+
+// tableKey is the lookup index's key: a canonical phase-invariant
+// fingerprint like ring.Key, with one byte per coefficient instead of
+// four. No enumerated operator has a coefficient above 3 in magnitude at
+// T ≤ 5, or above 11 at T ≤ 12.
+type tableKey struct {
+	k int8
+	c [16]int8
+}
+
+// keyOf returns u's table key: the lexicographically smallest coefficient
+// serialization over the 8 phase rotations ω^j·u. It reports false when
+// a coefficient or the denominator exponent falls outside ±127, so such
+// a matrix misses instead of aliasing an entry after truncation.
+func keyOf(u ring.UMat) (tableKey, bool) {
+	if u.K < 0 || u.K > 127 {
+		return tableKey{}, false
+	}
+	var cur [16]int8
+	for i := 0; i < 4; i++ {
+		z := u.E[i/2][i%2]
+		for j, v := range [4]int64{z.A, z.B, z.C, z.D} {
+			if v < -127 || v > 127 {
+				return tableKey{}, false
+			}
+			cur[4*i+j] = int8(v)
+		}
+	}
+	best := cur
+	for j := 1; j < 8; j++ {
+		// ω·(a, b, c, d) = (−d, a, b, c), entry by entry.
+		for e := 0; e < len(cur); e += 4 {
+			cur[e], cur[e+1], cur[e+2], cur[e+3] = -cur[e+3], cur[e], cur[e+1], cur[e+2]
+		}
+		if lessBytes(cur, best) {
+			best = cur
+		}
+	}
+	return tableKey{k: int8(u.K), c: best}, true
+}
+
+func lessBytes(a, b [16]int8) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 type maPart struct {
@@ -79,7 +128,7 @@ func BuildTable(maxT int) *Table {
 
 	tab := &Table{MaxT: maxT, Levels: make([][]Entry, maxT+1)}
 	total := 24 * (3*(1<<uint(maxT)) - 2)
-	tab.lookup = make(map[ring.Key]Ref, total)
+	tab.lookup = make(map[tableKey]Ref, total)
 
 	level := []maPart{{u: ring.UIdentity()}}
 	for t := 0; t <= maxT; t++ {
@@ -104,7 +153,10 @@ func BuildTable(maxT int) *Table {
 					TCount:   uint8(t),
 					NonPauli: partNP + uint8(c.Seq.CliffordCount()),
 				}
-				key := u.CanonicalKey()
+				key, ok := keyOf(u)
+				if !ok {
+					panic("gates: coefficient outside the table key's range")
+				}
 				if _, dup := tab.lookup[key]; dup {
 					// MA normal forms are unique; a collision signals a bug.
 					panic("gates: duplicate canonical key during MA enumeration")
@@ -150,11 +202,10 @@ func (t *Table) Count() int {
 
 // Find returns the entry equal to u up to global phase, if enumerated.
 func (t *Table) Find(u ring.UMat) (*Entry, bool) {
-	return t.FindKey(u.CanonicalKey())
-}
-
-// FindKey looks up a canonical key directly.
-func (t *Table) FindKey(k ring.Key) (*Entry, bool) {
+	k, ok := keyOf(u)
+	if !ok {
+		return nil, false
+	}
 	ref, ok := t.lookup[k]
 	if !ok || int(ref.Level) > t.MaxT {
 		return nil, false
