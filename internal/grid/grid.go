@@ -71,14 +71,12 @@ func lambdaExp(la, lb float64) int {
 // Solve1D returns all α = m + n√2 ∈ Z[√2] with α ∈ a and α• ∈ b.
 // Rescaling by λ = 1+√2 balances the interval lengths first (λ·λ• = −1), so
 // the scan is proportional to the expected number of solutions plus O(1).
-func Solve1D(a, b Interval) []ring.ZSqrt2 { return AppendSolve1D(nil, a, b) }
-
-// AppendSolve1D is Solve1D appending into dst (reusing its capacity), the
-// allocation-free form for callers with a scan loop.
-func AppendSolve1D(dst []ring.ZSqrt2, a, b Interval) []ring.ZSqrt2 {
-	return appendSolve1D(dst, a, b, lambdaExp(a.Len(), b.Len()))
+func Solve1D(a, b Interval) []ring.ZSqrt2 {
+	return appendSolve1D(nil, a, b, lambdaExp(a.Len(), b.Len()))
 }
 
+// appendSolve1D is Solve1D at rescaling exponent j, appending into dst
+// (reusing its capacity).
 func appendSolve1D(dst []ring.ZSqrt2, a, b Interval, j int) []ring.ZSqrt2 {
 	each1D(a, b, j, func(sol ring.ZSqrt2) bool {
 		dst = append(dst, sol)
@@ -217,13 +215,14 @@ func (sl *Sliver) Scan(k int, yield func(Candidate) bool) bool {
 	return each1D(xInt, xBullet, jx, func(xp ring.ZSqrt2) bool {
 		x := xp.Float() / ring.Sqrt2
 		xb := -xp.Bullet().Float() / ring.Sqrt2 // x• (the bullet of x, not x')
-		yInt, yBullet, ok := sl.section(x, xb, s, s2, m)
+		yInt, yBullet, ok := sl.section(x, xb, s, s2, sl.c, m, geomSlack)
 		if !ok {
 			return true
 		}
-		jy, ok := sl.sectionExp(x, xb, s)
-		if !ok {
-			jy = lambdaExp(yInt.Len(), yBullet.Len())
+		// The ε-sliver's section at x, where it has one, orders the y solve.
+		jy := lambdaExp(yInt.Len(), yBullet.Len())
+		if ey, eb, ok := sl.section(x, xb, s, s*s, sl.ce, 0, 0); ok {
+			jy = lambdaExp(ey.Len(), eb.Len())
 		}
 		sl.ybuf = appendSolve1D(sl.ybuf[:0], yInt, yBullet, jy)
 		for _, yp := range sl.ybuf {
@@ -279,12 +278,13 @@ func (sl *Sliver) xExtent(s, c, w, m float64) (lo, hi float64) {
 	return lo - m, hi + m
 }
 
-// section returns the y'-intervals of the scan at x: the admission
-// region's section, and the disk's at x•. The chord is widened by m along
-// its normal, the disks' squared radii by geomSlack, so lattice points on
-// the boundaries survive rounding.
-func (sl *Sliver) section(x, xb, s, s2, m float64) (yInt, yBullet Interval, ok bool) {
-	disc := s2 - x*x + geomSlack*s2
+// section returns the y'-intervals at x of the region with chord c: its
+// own section and the disk's at x•. The chord is widened by m along its
+// normal and both disks' squared radius s2 by fuzz·s2; with m = fuzz = 0
+// and s2 = s·s this is the ε-sliver's section as its enumeration computes
+// it.
+func (sl *Sliver) section(x, xb, s, s2, c, m, fuzz float64) (yInt, yBullet Interval, ok bool) {
+	disc := s2 - x*x + fuzz*s2
 	if disc < 0 {
 		return Interval{}, Interval{}, false
 	}
@@ -293,11 +293,11 @@ func (sl *Sliver) section(x, xb, s, s2, m float64) (yInt, yBullet Interval, ok b
 	// Chord: x cosφ − y sinφ ≥ c·s.
 	switch {
 	case sl.sinP > 1e-300:
-		yhi = math.Min(yhi, (x*sl.cosP-sl.c*s+m)/sl.sinP)
+		yhi = math.Min(yhi, (x*sl.cosP-c*s+m)/sl.sinP)
 	case sl.sinP < -1e-300:
-		ylo = math.Max(ylo, (x*sl.cosP-sl.c*s+m)/sl.sinP)
+		ylo = math.Max(ylo, (x*sl.cosP-c*s+m)/sl.sinP)
 	default:
-		if x*sl.cosP < sl.c*s-m {
+		if x*sl.cosP < c*s-m {
 			return Interval{}, Interval{}, false
 		}
 	}
@@ -305,43 +305,12 @@ func (sl *Sliver) section(x, xb, s, s2, m float64) (yInt, yBullet Interval, ok b
 		return Interval{}, Interval{}, false
 	}
 	// y'• section: |y•| ≤ √(s² − x•²).
-	discB := s2 - xb*xb + geomSlack*s2
+	discB := s2 - xb*xb + fuzz*s2
 	if discB < 0 {
 		return Interval{}, Interval{}, false
 	}
 	rb := math.Sqrt(discB)
 	return Interval{ylo * ring.Sqrt2, yhi * ring.Sqrt2}, Interval{-rb * ring.Sqrt2, rb * ring.Sqrt2}, true
-}
-
-// sectionExp returns the λ-exponent of the y solve at x of an enumeration
-// of the ε-sliver: the exponent its section's lengths give, with ok=false
-// when that section is empty.
-func (sl *Sliver) sectionExp(x, xb, s float64) (int, bool) {
-	disc := s*s - x*x
-	if disc < 0 {
-		return 0, false
-	}
-	r := math.Sqrt(disc)
-	ylo, yhi := -r, r
-	switch {
-	case sl.sinP > 1e-300:
-		yhi = math.Min(yhi, (x*sl.cosP-sl.ce*s)/sl.sinP)
-	case sl.sinP < -1e-300:
-		ylo = math.Max(ylo, (x*sl.cosP-sl.ce*s)/sl.sinP)
-	default:
-		if x*sl.cosP < sl.ce*s {
-			return 0, false
-		}
-	}
-	if yhi < ylo {
-		return 0, false
-	}
-	discB := s*s - xb*xb
-	if discB < 0 {
-		return 0, false
-	}
-	rb := math.Sqrt(discB)
-	return lambdaExp(Interval{ylo * ring.Sqrt2, yhi * ring.Sqrt2}.Len(), Interval{-rb * ring.Sqrt2, rb * ring.Sqrt2}.Len()), true
 }
 
 // PreError returns the unitary distance (Eq. (2)) that candidate u will

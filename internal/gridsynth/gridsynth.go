@@ -59,8 +59,9 @@ var ErrCanceled = errors.New("gridsynth: canceled")
 
 // candidatesPerK bounds the candidates admitted per (k, phase grid). Exact
 // admission leaves only candidates whose norm equation can have a
-// solution; at most 11 per (k, grid) were seen over the benchmark's
-// circuits, so the bound is a backstop that no search is known to reach.
+// solution: over 100 random angles at each ε from 0.3 to 1e-8, no k
+// admitted more than 7 on both grids together, and a search admitted
+// 1.0–2.6 on average. The bound is a backstop no search is known to reach.
 const candidatesPerK = 4096
 
 func (o Options) filled() Options {
