@@ -138,21 +138,14 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 			)
 			sl := slivers[g]
 			sl.Scan(k, func(cand grid.Candidate) bool {
-				adm, known := admissible(cand.U, k)
-				if !known {
-					u.SetZOmega(cand.U)
-					u.Norm2To(&n2, &scr)
-					xi.SubTo(pow2k, n2)
-					xb.BulletTo(xi)
-					adm = xi.Sign() >= 0 && xb.Sign() >= 0
-				}
-				if !adm || sl.PreError(cand.U, k) > admit {
-					return true // keep scanning; no budget spent
-				}
-				admitted++
 				u.SetZOmega(cand.U)
 				u.Norm2To(&n2, &scr)
 				xi.SubTo(pow2k, n2)
+				xb.BulletTo(xi)
+				if xi.Sign() < 0 || xb.Sign() < 0 || sl.PreError(cand.U, k) > admit {
+					return true // keep scanning; no budget spent
+				}
+				admitted++
 				t, ok := solver.Solve(xi)
 				if ok {
 					v := exact.FromColumns(u, t, k, g)
@@ -185,28 +178,6 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		pow2k.MulTo(pow2k, two, &scr)
 	}
 	return Result{}, ErrNoSolution
-}
-
-// admissible reports whether ξ = 2^k − |u|² is doubly non-negative,
-// ξ ≥ 0 and ξ• ≥ 0, decided exactly in int64; known is false when a value
-// leaves int64 range and the caller must decide in big arithmetic.
-func admissible(u ring.ZOmega, k int) (adm, known bool) {
-	if k > 62 {
-		return false, false
-	}
-	n, ok := u.Norm2Checked()
-	if !ok {
-		return false, false
-	}
-	xi, ok := ring.ZSqrt2{A: 1 << k}.SubChecked(n)
-	if !ok {
-		return false, false
-	}
-	xb, ok := xi.BulletChecked()
-	if !ok {
-		return false, false
-	}
-	return xi.Sign() >= 0 && xb.Sign() >= 0, true
 }
 
 // U3 synthesizes an arbitrary single-qubit unitary by decomposing it into

@@ -227,47 +227,6 @@ func (x ZSqrt2) BulletChecked() (ZSqrt2, bool) {
 	return ZSqrt2{x.A, b}, ok
 }
 
-// Sign returns the sign of the real embedding a + b√2, decided exactly.
-// With mixed signs the larger of a² and 2b² wins; both are compared in
-// 128 bits, which hold them for every int64 a and b, so Sign never
-// overflows (a² = 2b² has no nonzero solution).
-func (x ZSqrt2) Sign() int {
-	sa, sb := sign64(x.A), sign64(x.B)
-	switch {
-	case sa == 0 && sb == 0:
-		return 0
-	case sa >= 0 && sb >= 0:
-		return 1
-	case sa <= 0 && sb <= 0:
-		return -1
-	}
-	ah, al := bits.Mul64(abs64(x.A), abs64(x.A))
-	bh, bl := bits.Mul64(abs64(x.B), abs64(x.B))
-	bh, bl = bh<<1|bl>>63, bl<<1 // 2b² < 2^127
-	if ah > bh || ah == bh && al > bl {
-		return sa
-	}
-	return sb
-}
-
-func sign64(a int64) int {
-	switch {
-	case a > 0:
-		return 1
-	case a < 0:
-		return -1
-	}
-	return 0
-}
-
-// abs64 returns |a| as a uint64, exact for MinInt64 too.
-func abs64(a int64) uint64 {
-	if a < 0 {
-		return -uint64(a)
-	}
-	return uint64(a)
-}
-
 // NormZChecked returns a² − 2b² with ok=false on overflow.
 func (x ZSqrt2) NormZChecked() (int64, bool) {
 	a2, ok := mulInt64(x.A, x.A)
