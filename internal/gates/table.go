@@ -69,44 +69,30 @@ type tableKey struct {
 	c [16]int8
 }
 
-// keyOf returns u's table key: the lexicographically smallest coefficient
-// serialization over the 8 phase rotations ω^j·u. It reports false when
-// a coefficient or the denominator exponent falls outside ±127, so such
-// a matrix misses instead of aliasing an entry after truncation.
+// keyOf returns u's table key, ring.UMat.CanonicalKey narrowed to one
+// byte per coefficient; narrowing keeps the order of values within ±127,
+// so the rotation it picks is the same. It reports false when a
+// coefficient or the denominator exponent falls outside ±127, so such a
+// matrix misses instead of aliasing an entry after truncation.
 func keyOf(u ring.UMat) (tableKey, bool) {
 	if u.K < 0 || u.K > 127 {
 		return tableKey{}, false
 	}
-	var cur [16]int8
-	for i := 0; i < 4; i++ {
-		z := u.E[i/2][i%2]
-		for j, v := range [4]int64{z.A, z.B, z.C, z.D} {
-			if v < -127 || v > 127 {
-				return tableKey{}, false
+	for _, row := range u.E {
+		for _, z := range row {
+			for _, v := range [4]int64{z.A, z.B, z.C, z.D} {
+				if v < -127 || v > 127 {
+					return tableKey{}, false
+				}
 			}
-			cur[4*i+j] = int8(v)
 		}
 	}
-	best := cur
-	for j := 1; j < 8; j++ {
-		// ω·(a, b, c, d) = (−d, a, b, c), entry by entry.
-		for e := 0; e < len(cur); e += 4 {
-			cur[e], cur[e+1], cur[e+2], cur[e+3] = -cur[e+3], cur[e], cur[e+1], cur[e+2]
-		}
-		if lessBytes(cur, best) {
-			best = cur
-		}
+	ck := u.CanonicalKey()
+	key := tableKey{k: ck.K}
+	for i, v := range ck.C {
+		key.c[i] = int8(v)
 	}
-	return tableKey{k: int8(u.K), c: best}, true
-}
-
-func lessBytes(a, b [16]int8) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return key, true
 }
 
 type maPart struct {
