@@ -275,17 +275,50 @@ func TestScanAdmitsExactly(t *testing.T) {
 	}
 }
 
+// referenceOrder checks that Scan's admitted stream at k contains every
+// candidate the reference scan yields with ξ doubly non-negative and a
+// predicted distance within the bound, in the reference's relative order.
+// It returns the length of Scan's admitted stream.
+func referenceOrder(t *testing.T, theta, eps float64, k int) int {
+	t.Helper()
+	admit := admitBound(eps)
+	sl, ref := NewSliver(theta, eps, admit), newRefSliver(theta, eps)
+	var want []ring.ZOmega
+	ref.scan(k, func(u ring.ZOmega) bool {
+		if sl.PreError(u, k) <= admit && doublyNonNegative(u, k) {
+			want = append(want, u)
+		}
+		return true
+	})
+	got := admittedStream(sl, k, admit)
+	j := 0
+	for _, u := range got {
+		if j < len(want) && u == want[j] {
+			j++
+		}
+	}
+	if j < len(want) {
+		t.Fatalf("eps=%g θ=%v k=%d: reference candidate %v (%d of %d) missing or out of order",
+			eps, theta, k, want[j], j, len(want))
+	}
+	return len(got)
+}
+
 // TestScanKeepsReferenceOrder: at every k up to the one gridsynth solves
-// at, Scan's admitted stream contains every candidate the reference scan
-// yields with ξ doubly non-negative and a predicted distance within the
-// bound, in the reference's relative order. gridsynth admits about two
-// candidates per search, so the k ladder stops once four have been
-// admitted. The reference is slow at 1e-7, where it yields ~10⁵ times
-// more than it admits, so fewer angles run there.
+// at, Scan's admitted stream keeps the reference's admissible candidates
+// in the reference's order. gridsynth admits about two candidates per
+// search, so the k ladder stops once four have been admitted. The
+// reference is slow at 1e-7, where it yields ~10⁵ times more than it
+// admits, so fewer angles run there.
+//
+// Those searches rarely put two admissible points in one x column, so
+// they pin the order of the outer x solve only. The last case pins the
+// inner y solve: at ε = 1e-6 and θ = ±2.5ε, k = 38 puts ~2·10⁴ admissible
+// points in one x column, where the ε-sliver's section and the admission
+// region's give different λ-exponents.
 func TestScanKeepsReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, eps := range []float64{0.3, 1e-2, 1e-4, 1e-6, 1e-7} {
-		admit := admitBound(eps)
 		angles := 6
 		if eps < 1e-6 {
 			angles = 2
@@ -295,28 +328,14 @@ func TestScanKeepsReferenceOrder(t *testing.T) {
 		}
 		for i := 0; i < angles; i++ {
 			theta := rng.Float64()*4*math.Pi - 2*math.Pi
-			sl, ref := NewSliver(theta, eps, admit), newRefSliver(theta, eps)
 			for k, admitted := 0, 0; admitted < 4; k++ {
-				var want []ring.ZOmega
-				ref.scan(k, func(u ring.ZOmega) bool {
-					if sl.PreError(u, k) <= admit && doublyNonNegative(u, k) {
-						want = append(want, u)
-					}
-					return true
-				})
-				got := admittedStream(sl, k, admit)
-				admitted += len(got)
-				j := 0
-				for _, u := range got {
-					if j < len(want) && u == want[j] {
-						j++
-					}
-				}
-				if j < len(want) {
-					t.Fatalf("eps=%g θ=%v k=%d: reference candidate %v (%d of %d) missing or out of order\n got %v\nwant %v",
-						eps, theta, k, want[j], j, len(want), got, want)
-				}
+				admitted += referenceOrder(t, theta, eps, k)
 			}
+		}
+	}
+	for _, theta := range []float64{2.5e-6, -2.5e-6} {
+		if n := referenceOrder(t, theta, 1e-6, 38); n < 1000 {
+			t.Fatalf("θ=%v k=38: only %d admitted, so the case no longer fills a column", theta, n)
 		}
 	}
 }
