@@ -2,7 +2,6 @@ package synth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -245,18 +244,11 @@ func FuseBlocks() Pass {
 	}}
 }
 
-// ErrOverBudget is returned (wrapped) by the Lower pass when the summed
-// error of a circuit's rotations exceeds its circuit-level budget. Each
-// rotation's entry is kept in the cache as its backend returned it; only
-// the compile is refused.
-var ErrOverBudget = errors.New("synth: circuit error bound exceeds its budget")
-
 // Lower returns the synthesis pass: one counted cache lookup per
 // nontrivial rotation, a worker pool over the distinct misses, then
 // assembly into a Clifford+T circuit. Under a circuit-level budget
-// (CircuitEpsilon > 0) each rotation synthesizes at its allocated share,
-// and a circuit whose summed error exceeds the budget is refused with
-// ErrOverBudget; otherwise every rotation uses Req.Epsilon.
+// (CircuitEpsilon > 0) each rotation synthesizes at its allocated share;
+// otherwise every rotation uses Req.Epsilon.
 func Lower() Pass {
 	return passFunc{name: "lower", run: runLower}
 }
@@ -363,9 +355,6 @@ func runLower(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
 		if e.Err > pc.Stats.MaxError {
 			pc.Stats.MaxError = e.Err
 		}
-	}
-	if pc.CircuitEpsilon > 0 && pc.Stats.ErrorBound > pc.CircuitEpsilon {
-		return nil, fmt.Errorf("lowering %s IR: %w: %.6g > %.6g", scope, ErrOverBudget, pc.Stats.ErrorBound, pc.CircuitEpsilon)
 	}
 	return out, nil
 }
