@@ -2,10 +2,15 @@ package gridsynth
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/qmat"
+	"repro/internal/ring"
+	"repro/synth/trace"
 )
 
 // TestRzMeetsThreshold: for a spread of angles and thresholds, the output
@@ -104,6 +109,59 @@ func TestRzRejectsBadEps(t *testing.T) {
 	}
 	if _, err := Rz(1.0, 1.5, Options{}); err == nil {
 		t.Error("eps>1 should error")
+	}
+}
+
+// TestAdmitsOnlyDoublyNonNegative: at each k that Rz scans in full, the
+// admitted count its trace records is the number of scanned candidates
+// with ξ = 2^k − |u|² doubly non-negative and a predicted distance within
+// the bound. At 1e-7 and 1e-8 the scan also yields points just outside a
+// disk that pass PreError; the test requires that some do, so it fails if
+// Rz admits them.
+func TestAdmitsOnlyDoublyNonNegative(t *testing.T) {
+	tr := trace.New(trace.Config{SampleRatio: 1})
+	rng := rand.New(rand.NewSource(3))
+	excluded := 0
+	for _, eps := range []float64{1e-7, 1e-8} {
+		admit := eps*(1+1e-6) + 1e-7 + 1e-12
+		for i := 0; i < 6; i++ {
+			theta := rng.Float64()*4*math.Pi - 2*math.Pi
+			root := tr.Start("rz")
+			res, err := Rz(theta, eps, Options{Trace: root})
+			root.End()
+			if err != nil {
+				t.Fatalf("Rz(%v, %v): %v", theta, eps, err)
+			}
+			slivers := [2]*grid.Sliver{grid.NewSliver(theta, eps, admit), grid.NewSliver(theta-math.Pi/4, eps, admit)}
+			for _, ks := range root.Children() {
+				k, _ := strconv.Atoi(ks.Attr("k"))
+				if k == res.K {
+					continue // stopped at the solution
+				}
+				pow := ring.BSqrt2{A: new(big.Int).Lsh(big.NewInt(1), uint(k)), B: new(big.Int)}
+				want := 0
+				for _, sl := range slivers {
+					sl.Scan(k, func(c grid.Candidate) bool {
+						if sl.PreError(c.U, k) > admit {
+							return true
+						}
+						xi := pow.Sub(ring.BOmegaFromZOmega(c.U).Norm2())
+						if xi.Sign() >= 0 && xi.Bullet().Sign() >= 0 {
+							want++
+						} else {
+							excluded++
+						}
+						return true
+					})
+				}
+				if got := ks.Attr("admitted"); got != strconv.Itoa(want) {
+					t.Fatalf("Rz(%v, %v) k=%d: admitted %s, want %d", theta, eps, k, got, want)
+				}
+			}
+		}
+	}
+	if excluded == 0 {
+		t.Fatal("no scanned candidate with ξ not doubly non-negative passed PreError")
 	}
 }
 
