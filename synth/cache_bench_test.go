@@ -12,8 +12,12 @@ import (
 // single-lock layout (shards=1) against the sharded cache under growing
 // goroutine counts — the contention profile of a synthd daemon serving
 // concurrent compile requests. The workload is ~90% lookups over a
-// working set that fits in the cache, the service steady state. Results
-// are recorded in BENCH_cache.json.
+// working set that fits in the cache, the service steady state. Run it at
+// several GOMAXPROCS values with
+//
+//	go test -run=NONE -bench=BenchmarkCacheParallel -cpu=2,8 ./synth/
+//
+// BENCH_cache.json holds earlier recordings as history.
 func BenchmarkCacheParallel(b *testing.B) {
 	const capacity = 4096
 	const workingSet = 1024
