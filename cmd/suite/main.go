@@ -19,7 +19,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro"
+	"repro/internal/suite"
 	"repro/synth"
 )
 
@@ -35,7 +35,7 @@ func main() {
 		workers = flag.Int("workers", 0, "pipeline worker-pool size (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	benches := repro.BenchmarkSuite()
+	benches := suite.Suite()
 	switch {
 	case *compile != "":
 		for _, b := range benches {

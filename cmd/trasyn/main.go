@@ -20,7 +20,7 @@ import (
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/qmat"
 	"repro/synth"
 )
 
@@ -55,16 +55,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	var u repro.M2
+	var u qmat.M2
 	switch {
 	case *random:
-		u = repro.HaarRandom(rand.New(rand.NewSource(*seed)))
+		u = qmat.HaarRandom(rand.New(rand.NewSource(*seed)))
 		fmt.Printf("target: Haar-random (seed %d)\n", *seed)
 	case *rz != 0:
-		u = repro.Rz(*rz)
+		u = qmat.Rz(*rz)
 		fmt.Printf("target: Rz(%g)\n", *rz)
 	default:
-		u = repro.U3(*theta, *phi, *lambda)
+		u = qmat.U3(*theta, *phi, *lambda)
 		fmt.Printf("target: U3(%g, %g, %g)\n", *theta, *phi, *lambda)
 	}
 
