@@ -1,23 +1,55 @@
+// Package pipeline holds no code of its own. Circuit lowering is the
+// synth package's Lower pass, and the two workflows of Figure 3(a) are a
+// synth.Pipeline forced to the CX+U3 or the CX+H+RZ IR; these are the
+// package's original checks, run against that implementation.
 package pipeline
 
 import (
+	"context"
 	"math"
-	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/circuit"
-	"repro/internal/core"
+	"repro/circuit/gen"
 	"repro/internal/gates"
-	"repro/internal/gridsynth"
+	"repro/internal/qmat"
 	"repro/internal/sim"
-	"repro/internal/suite"
+	"repro/synth"
 )
 
-func trasynCfg() core.Config {
-	cfg := core.DefaultConfig(gates.Shared(6), 6, 2, 1500)
-	cfg.Rng = rand.New(rand.NewSource(99))
-	cfg.Epsilon = 0.02
-	return cfg
+// trasynReq is trasyn at T budget 6 per tensor, 2 tensors, 1500 samples,
+// stopping at ε 0.02, with base seed 99.
+var trasynReq = synth.Request{Epsilon: 0.02, TBudget: 6, Tensors: 2, Samples: 1500, Seed: synth.Seed(99)}
+
+// countingBackend counts synthesis calls and answers every target with T.
+type countingBackend struct{ calls atomic.Int64 }
+
+func (b *countingBackend) Name() string { return "count" }
+
+func (b *countingBackend) Synthesize(ctx context.Context, u qmat.M2, req synth.Request) (synth.Result, error) {
+	b.calls.Add(1)
+	return synth.Result{Seq: gates.Sequence{gates.T}, TCount: 1, Backend: "count"}, nil
+}
+
+// lower runs the Lower pass alone over c.
+func lower(t *testing.T, be synth.Backend, req synth.Request, c *circuit.Circuit) *synth.PipelineResult {
+	t.Helper()
+	res, err := synth.NewPipeline(be, synth.WithRequest(req), synth.WithPasses(synth.Lower())).
+		Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func lookup(t *testing.T, name string) synth.Backend {
+	t.Helper()
+	be, ok := synth.Lookup(name)
+	if !ok {
+		t.Fatalf("backend %s not registered", name)
+	}
+	return be
 }
 
 // TestLowerPreservesSemantics: the lowered circuit must approximate the
@@ -25,18 +57,15 @@ func trasynCfg() core.Config {
 func TestLowerPreservesSemantics(t *testing.T) {
 	c := circuit.New(2)
 	c.H(0).RZ(0, 0.8).CX(0, 1).RX(1, 1.1).U3Gate(0, 0.5, 0.3, -0.7).CX(0, 1)
-	low, st, err := Lower(c, TrasynLowerer(trasynCfg()))
-	if err != nil {
-		t.Fatal(err)
+	res := lower(t, lookup(t, "trasyn"), trasynReq, c)
+	if res.Stats.Rotations != 3 {
+		t.Fatalf("expected 3 synthesized rotations, got %d", res.Stats.Rotations)
 	}
-	if st.Rotations != 3 {
-		t.Fatalf("expected 3 synthesized rotations, got %d", st.Rotations)
+	d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(res.Circuit))
+	if d > res.Stats.ErrorBound*1.5+1e-6 {
+		t.Fatalf("lowered circuit distance %v exceeds bound %v", d, res.Stats.ErrorBound)
 	}
-	d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(low))
-	if d > st.ErrorBound*1.5+1e-6 {
-		t.Fatalf("lowered circuit distance %v exceeds bound %v", d, st.ErrorBound)
-	}
-	if low.CountRotations() != 0 {
+	if res.Circuit.CountRotations() != 0 {
 		t.Fatal("rotations left after lowering")
 	}
 }
@@ -45,18 +74,12 @@ func TestLowerPreservesSemantics(t *testing.T) {
 func TestLowerSnapsTrivial(t *testing.T) {
 	c := circuit.New(1)
 	c.RZ(0, math.Pi/2).RZ(0, math.Pi/4).RX(0, math.Pi)
-	calls := 0
-	low, st, err := Lower(c, func(op circuit.Op) (gates.Sequence, float64, error) {
-		calls++
-		return gates.Sequence{gates.T}, 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 || st.Rotations != 0 {
+	be := &countingBackend{}
+	res := lower(t, be, synth.Request{}, c)
+	if calls := be.calls.Load(); calls != 0 || res.Stats.Rotations != 0 {
 		t.Fatalf("trivial rotations were synthesized (%d calls)", calls)
 	}
-	if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(low)); d > 1e-6 {
+	if d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(res.Circuit)); d > 1e-6 {
 		t.Fatalf("trivial snap changed unitary: %v", d)
 	}
 }
@@ -65,28 +88,28 @@ func TestLowerSnapsTrivial(t *testing.T) {
 func TestGridsynthLowerer(t *testing.T) {
 	c := circuit.New(2)
 	c.H(0).RZ(0, 0.8).CX(0, 1).RZ(1, 2.2)
-	low, st, err := Lower(c, GridsynthLowerer(0.01, gridsynth.Options{}))
-	if err != nil {
-		t.Fatal(err)
+	res := lower(t, lookup(t, "gridsynth"), synth.Request{Epsilon: 0.01}, c)
+	if res.Stats.Rotations != 2 {
+		t.Fatalf("rotations = %d", res.Stats.Rotations)
 	}
-	if st.Rotations != 2 {
-		t.Fatalf("rotations = %d", st.Rotations)
-	}
-	d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(low))
+	d := sim.UnitaryDistance(sim.Unitary(c), sim.Unitary(res.Circuit))
 	if d > 0.03 {
 		t.Fatalf("distance %v", d)
 	}
 }
 
-// TestTrivialRotation: π/4-multiples are trivial, others are not.
+// TestTrivialRotation: π/4-multiples are trivial, others are not — a
+// trivial rotation lowers without a backend call, a generic one with one.
 func TestTrivialRotation(t *testing.T) {
-	trivial := circuit.Op{G: circuit.RZ, Q: [2]int{0, -1}, P: [3]float64{math.Pi / 2}}
-	if !TrivialRotation(trivial) {
-		t.Fatal("RZ(π/2) should be trivial")
-	}
-	generic := circuit.Op{G: circuit.RZ, Q: [2]int{0, -1}, P: [3]float64{0.7}}
-	if TrivialRotation(generic) {
-		t.Fatal("RZ(0.7) should not be trivial")
+	for _, tc := range []struct {
+		theta float64
+		calls int64
+	}{{math.Pi / 2, 0}, {0.7, 1}} {
+		be := &countingBackend{}
+		lower(t, be, synth.Request{}, circuit.New(1).RZ(0, tc.theta))
+		if got := be.calls.Load(); got != tc.calls {
+			t.Fatalf("RZ(%v): %d backend calls, want %d", tc.theta, got, tc.calls)
+		}
 	}
 }
 
@@ -94,8 +117,10 @@ func TestTrivialRotation(t *testing.T) {
 // workflow must use fewer T gates than the Rz workflow at comparable
 // circuit error (RQ3's mechanism).
 func TestWorkflowsOnQAOA(t *testing.T) {
-	qaoa := suite.QAOAMaxCut(4, 1, 5)
-	u3res, err := RunU3Workflow(qaoa, trasynCfg())
+	ctx := context.Background()
+	qaoa := gen.QAOAMaxCut(4, 1, 5)
+	u3res, err := synth.NewPipeline(lookup(t, "trasyn"), synth.WithRequest(trasynReq),
+		synth.WithIR(synth.IRU3), synth.WithPasses(synth.Transpile(), synth.Lower())).Run(ctx, qaoa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +130,8 @@ func TestWorkflowsOnQAOA(t *testing.T) {
 	if u3res.Stats.Rotations > 0 {
 		epsRz = u3res.Stats.ErrorBound / float64(u3res.Stats.Rotations)
 	}
-	rzres, err := RunRzWorkflow(qaoa, epsRz, gridsynth.Options{})
+	rzres, err := synth.NewPipeline(lookup(t, "gridsynth"), synth.WithEpsilon(epsRz),
+		synth.WithIR(synth.IRRz), synth.WithPasses(synth.Transpile(), synth.Lower())).Run(ctx, qaoa)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package synth
 
-import (
-	"repro/circuit"
-	"repro/internal/pipeline"
-)
+import "repro/circuit"
 
 // BudgetStrategy selects how a circuit-level error budget ε is split
 // across the N nontrivial rotations of an IR. The additive composition of
@@ -103,5 +100,5 @@ func AllocateBudget(c *circuit.Circuit, eps float64, strategy BudgetStrategy) []
 // synthesizable reports whether op consumes synthesis budget: a rotation
 // that is not a trivial π/4 multiple.
 func synthesizable(op circuit.Op) bool {
-	return op.G.IsRotation() && !pipeline.TrivialRotation(op)
+	return op.G.IsRotation() && !trivialRotation(op)
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/circuit"
 	"repro/internal/gates"
-	"repro/internal/pipeline"
 	"repro/internal/qmat"
 )
 
@@ -132,10 +131,8 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Cache is a bounded, concurrency-safe synthesis cache with LRU eviction —
-// the promotion of internal/pipeline's former private memoizer into a
-// service-level object shared across batch jobs and, since the synthd
-// service layer, across daemon requests. Internally the key space is split
+// Cache is a bounded, concurrency-safe synthesis cache with LRU eviction,
+// shared across batch jobs, pipeline runs and daemon requests. Internally the key space is split
 // over independent LRU shards (each with its own lock), so concurrent
 // lookups under different keys proceed without contending on one mutex;
 // recency and eviction are per shard, a standard approximation of global
@@ -426,25 +423,4 @@ func (c *Cache) Stats() CacheStats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// Wrap memoizes a pipeline lowerer through the cache under the given scope
-// and per-rotation epsilon, so a shared cache never serves a loose
-// approximation to a tighter pass. The scope must distinguish anything
-// else that changes the lowerer's output (backend name, engine config).
-// Errors are not cached. This is the drop-in replacement for the old
-// pipeline-private cachingLowerer, now shareable across runs.
-func (c *Cache) Wrap(scope string, eps float64, f pipeline.Lowerer) pipeline.Lowerer {
-	return func(op circuit.Op) (gates.Sequence, float64, error) {
-		k := KeyOf(op, scope, eps, 0)
-		if e, ok := c.Get(k); ok {
-			return e.Seq, e.Err, nil
-		}
-		seq, errDist, err := f(op)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.Put(k, Entry{Seq: seq, Err: errDist})
-		return seq, errDist, nil
-	}
 }

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -96,48 +95,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheWrapMemoizes: the lowerer adapter synthesizes each distinct
-// angle once — the promoted replacement of pipeline's private memoizer.
-func TestCacheWrapMemoizes(t *testing.T) {
-	c := NewCache(0)
-	calls := 0
-	f := c.Wrap("scope", 1e-3, func(op circuit.Op) (gates.Sequence, float64, error) {
-		calls++
-		return gates.Sequence{gates.T}, 0.001, nil
-	})
-	for i := 0; i < 5; i++ {
-		if _, _, err := f(rzOp(0.7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("want 1 underlying call, got %d", calls)
-	}
-	// A tighter epsilon must not be served the loose entry.
-	tight := 0
-	h := c.Wrap("scope", 1e-6, func(op circuit.Op) (gates.Sequence, float64, error) {
-		tight++
-		return gates.Sequence{gates.T}, 1e-7, nil
-	})
-	if _, _, err := h(rzOp(0.7)); err != nil {
-		t.Fatal(err)
-	}
-	if tight != 1 {
-		t.Fatalf("tight-epsilon pass hit the loose entry (%d calls)", tight)
-	}
-	// Errors are not cached: the lowerer is retried.
-	fails := 0
-	g := c.Wrap("scope", 1e-3, func(op circuit.Op) (gates.Sequence, float64, error) {
-		fails++
-		return nil, 0, fmt.Errorf("boom")
-	})
-	g(rzOp(1.3))
-	g(rzOp(1.3))
-	if fails != 2 {
-		t.Fatalf("error was cached: %d calls", fails)
-	}
-}
-
 // TestCacheShardedBound: a sharded cache distributes entries yet never
 // exceeds its total capacity, and the invariant holds: Hits+Misses counts
 // exactly the Get calls made.
@@ -170,22 +127,22 @@ func TestCacheShardedBound(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrent: concurrent Get/Put/Wrap must be race-free (run
-// under -race in CI) and never exceed the bound.
+// TestCacheConcurrent: concurrent Get/Put must be race-free (run under
+// -race in CI) and never exceed the bound.
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			f := c.Wrap("s", 1e-3, func(op circuit.Op) (gates.Sequence, float64, error) {
-				return gates.Sequence{gates.T}, 0.001, nil
-			})
 			for i := 0; i < 200; i++ {
-				f(rzOp(float64(i%48)*0.07 + 0.01))
+				k := KeyOf(rzOp(float64(i%48)*0.07+0.01), "s", 1e-3, 0)
+				if _, ok := c.Get(k); !ok {
+					c.Put(k, Entry{Seq: gates.Sequence{gates.T}, Err: 0.001})
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if c.Len() > 32 {

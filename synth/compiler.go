@@ -10,10 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/circuit"
-	"repro/internal/pipeline"
 	"repro/internal/qmat"
-	"repro/internal/transpile"
 	"repro/synth/fault"
 	"repro/synth/trace"
 )
@@ -57,11 +54,10 @@ type Compiler struct {
 	Req Request
 	// Workers bounds pool size (0 = GOMAXPROCS).
 	Workers int
-	// Cache is shared across CompileBatch/CompileCircuit jobs; NewCompiler
-	// installs a fresh bounded cache, and several compilers may share one.
+	// Cache is shared across CompileBatch jobs; NewCompiler installs a
+	// fresh bounded cache, and compilers and pipelines (WithCache) may
+	// share one.
 	Cache *Cache
-	// IR selects the lowering workflow for CompileCircuit.
-	IR IR
 	// Observe, when set, fires after every successful synthesis this
 	// compiler performs (worker pool and inline recomputes alike) — the
 	// metrics hook a service uses to histogram synthesis latency by
@@ -506,74 +502,6 @@ func (c *Compiler) fromEntry(e Entry) Result {
 		Clifford: e.Seq.CliffordCount(),
 		Backend:  name,
 	}
-}
-
-// CircuitResult is one end-to-end circuit compilation.
-//
-// Deprecated: run a Pipeline and read PipelineResult, which additionally
-// reports pass timings, the budget configuration and the resource
-// estimate.
-type CircuitResult struct {
-	// Circuit is the lowered Clifford+T circuit.
-	Circuit *circuit.Circuit
-	// Stats aggregates the lowering pass (rotation count, error bounds).
-	Stats pipeline.Stats
-	// Setting is the winning transpiler setting; IRRotations counts the
-	// nontrivial rotations in the IR before synthesis.
-	Setting     transpile.Setting
-	IRRotations int
-	// Unique is how many distinct rotations this job synthesized; Hits and
-	// Misses count every cache lookup this job performed: one per
-	// nontrivial rotation op, plus one per eviction recompute.
-	Unique       int
-	Hits, Misses int
-	// Backend names the backend; Wall is the end-to-end compile time.
-	Backend string
-	Wall    time.Duration
-}
-
-// CompileCircuit transpiles the circuit to the workflow IR (best of the 16
-// transpiler settings) and lowers every nontrivial rotation through the
-// backend at the uniform per-rotation Req.Epsilon.
-//
-// Deprecated: CompileCircuit is a canned transpile→lower pipeline kept
-// for compatibility. Use NewPipeline, which adds circuit-level error
-// budgets (WithCircuitEpsilon), pass composition (WithPasses), progress
-// hooks and resource estimation:
-//
-//	pl := synth.NewPipeline(be, synth.WithRequest(req), synth.WithWorkers(8))
-//	res, err := pl.Run(ctx, circ)
-func (c *Compiler) CompileCircuit(ctx context.Context, circ *circuit.Circuit) (CircuitResult, error) {
-	if c.Backend == nil {
-		return CircuitResult{}, fmt.Errorf("synth: Compiler has no Backend")
-	}
-	pl := NewPipeline(c.Backend,
-		WithRequest(c.Req),
-		WithWorkers(c.Workers),
-		WithCache(c.cache()),
-		WithIR(c.IR),
-		WithPasses(Transpile(), Lower()),
-		WithSynthObserver(c.Observe),
-	)
-	res, err := pl.Run(ctx, circ)
-	if err != nil {
-		return CircuitResult{Backend: c.Backend.Name()}, err
-	}
-	return CircuitResult{
-		Circuit: res.Circuit,
-		Stats: pipeline.Stats{
-			Rotations:  res.Stats.Rotations,
-			ErrorBound: res.Stats.ErrorBound,
-			MaxError:   res.Stats.MaxError,
-		},
-		Setting:     res.Stats.Setting,
-		IRRotations: res.Stats.IRRotations,
-		Unique:      res.Stats.Unique,
-		Hits:        res.Stats.Hits,
-		Misses:      res.Stats.Misses,
-		Backend:     res.Backend,
-		Wall:        res.Wall,
-	}, nil
 }
 
 // keyHash is FNV-1a over the key fields; mixSeed is splitmix64. Together

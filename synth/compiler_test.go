@@ -12,7 +12,6 @@ import (
 	"repro/internal/gates"
 	"repro/internal/qmat"
 	"repro/internal/sim"
-	"repro/internal/suite"
 )
 
 // stubBackend counts synthesis calls and returns a fixed sequence.
@@ -35,10 +34,10 @@ func (s *stubBackend) Synthesize(ctx context.Context, u qmat.M2, req Request) (R
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	s.calls.Add(1)
 	if s.fail {
 		return Result{}, fmt.Errorf("stub: synthetic failure")
 	}
-	s.calls.Add(1)
 	seq := gates.Sequence{gates.T, gates.H}
 	return finish("stub", time.Now(), seq, 0.001, 1), nil
 }
@@ -79,12 +78,25 @@ func TestCompileBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestCompileBatchError: a failing backend aborts the batch with its error.
+// TestCompileBatchError: a failing backend aborts the batch with its
+// error, and the failure is not cached: a second batch calls the backend
+// again.
 func TestCompileBatchError(t *testing.T) {
-	comp := NewCompiler(&stubBackend{fail: true}, Request{})
-	_, err := comp.CompileBatch(context.Background(), []qmat.M2{qmat.Rz(0.3), qmat.Rz(0.4)})
-	if err == nil {
+	stub := &stubBackend{fail: true}
+	comp := NewCompiler(stub, Request{})
+	targets := []qmat.M2{qmat.Rz(0.3), qmat.Rz(0.4)}
+	if _, err := comp.CompileBatch(context.Background(), targets); err == nil {
 		t.Fatal("batch with failing backend returned nil error")
+	}
+	if n := comp.Cache.Len(); n != 0 {
+		t.Fatalf("failed synthesis cached %d entries", n)
+	}
+	before := stub.calls.Load()
+	if _, err := comp.CompileBatch(context.Background(), targets); err == nil {
+		t.Fatal("second batch with failing backend returned nil error")
+	}
+	if stub.calls.Load() == before {
+		t.Fatal("second batch did not call the backend: the failure was cached")
 	}
 }
 
@@ -122,23 +134,22 @@ func TestCompileBatchCacheAccounting(t *testing.T) {
 // one synthesis; trivial rotations cost none.
 func TestCompileCircuitAccounting(t *testing.T) {
 	stub := &stubBackend{}
-	comp := NewCompiler(stub, Request{})
 	c := circuit.New(4)
 	for q := 0; q < 4; q++ {
 		c.RZ(q, 0.7)
 	}
-	res, err := comp.CompileCircuit(context.Background(), c)
+	res, err := NewPipeline(stub, WithPasses(Transpile(), Lower())).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Rotations != 4 {
 		t.Fatalf("want 4 lowered rotations, got %d", res.Stats.Rotations)
 	}
-	if res.Unique != 1 {
-		t.Fatalf("want 1 unique synthesis, got %d", res.Unique)
+	if res.Stats.Unique != 1 {
+		t.Fatalf("want 1 unique synthesis, got %d", res.Stats.Unique)
 	}
-	if res.Hits != 3 || res.Misses != 1 {
-		t.Fatalf("want 3 hits / 1 miss, got %d / %d", res.Hits, res.Misses)
+	if res.Stats.Hits != 3 || res.Stats.Misses != 1 {
+		t.Fatalf("want 3 hits / 1 miss, got %d / %d", res.Stats.Hits, res.Stats.Misses)
 	}
 	if got := stub.calls.Load(); got != 1 {
 		t.Fatalf("backend called %d times for 1 unique rotation", got)
@@ -149,12 +160,12 @@ func TestCompileCircuitAccounting(t *testing.T) {
 // lowered circuit must approximate the original within the error bound.
 func TestCompileCircuitSemantics(t *testing.T) {
 	be, _ := Lookup("trasyn")
-	comp := NewCompiler(be, Request{
+	pl := NewPipeline(be, WithRequest(Request{
 		Epsilon: 0.02, TBudget: 6, Tensors: 2, Samples: 1500, Seed: Seed(99),
-	})
+	}), WithPasses(Transpile(), Lower()))
 	c := circuit.New(2)
 	c.H(0).RZ(0, 0.8).CX(0, 1).RX(1, 1.1).U3Gate(0, 0.5, 0.3, -0.7).CX(0, 1)
-	res, err := comp.CompileCircuit(context.Background(), c)
+	res, err := pl.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +203,7 @@ func TestCompileBatchDeterministicSeeding(t *testing.T) {
 // qaoaRotationTargets extracts the nontrivial rotation matrices of the
 // QAOA example circuit — the workload of the acceptance benchmark.
 func qaoaRotationTargets() []qmat.M2 {
-	qaoa := suite.QAOAMaxCut(8, 2, 1)
+	qaoa := qaoa8()
 	var targets []qmat.M2
 	for _, op := range qaoa.Ops {
 		if op.G.IsRotation() {

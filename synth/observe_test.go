@@ -69,16 +69,23 @@ func TestAutoRaceObservations(t *testing.T) {
 		&namedStub{name: "loser", tGates: 3},
 		&namedStub{name: "failer", fail: true},
 	}
-	comp := NewCompiler(autoBackend{racers: racers}, Request{Epsilon: 1e-2})
-	comp.Workers = 1 // sequential: the duplicate op is a materialized hit
-	comp.Observe = rec.observe
-
 	c := circuit.New(2)
 	c.RZ(0, 0.7)
 	c.RZ(1, 0.7)
-	if _, err := comp.CompileCircuit(context.Background(), c); err != nil {
-		t.Fatal(err)
+	cache := NewCache(0)
+	compile := func(observe func(SynthObservation)) {
+		t.Helper()
+		pl := NewPipeline(autoBackend{racers: racers},
+			WithRequest(Request{Epsilon: 1e-2}),
+			WithWorkers(1), // sequential: the duplicate op is a materialized hit
+			WithCache(cache),
+			WithSynthObserver(observe),
+			WithPasses(Transpile(), Lower()))
+		if _, err := pl.Run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
 	}
+	compile(rec.observe)
 
 	wins := rec.byBackend("winner")
 	if len(wins) != 1 || !wins[0].Won || wins[0].Failed || wins[0].CacheHit {
@@ -124,10 +131,7 @@ func TestAutoRaceObservations(t *testing.T) {
 	// hits attributed to the backend that won the race, with the cached
 	// sequence's T count.
 	rec2 := &recorder{}
-	comp.Observe = rec2.observe
-	if _, err := comp.CompileCircuit(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
+	compile(rec2.observe)
 	warm := hitObs(rec2)
 	if len(warm) != 2 {
 		t.Fatalf("warm recompile: got %d hit observations, want 2: %+v", len(warm), warm)

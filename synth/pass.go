@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/circuit"
-	"repro/internal/pipeline"
 	"repro/internal/resource"
 	"repro/internal/transpile"
 	"repro/optimize"
@@ -38,7 +37,7 @@ type PassContext struct {
 	// Backend performs per-rotation synthesis for the Lower pass.
 	Backend Backend
 	// Req is the base request. In per-rotation mode (CircuitEpsilon == 0)
-	// Req.Epsilon applies to every rotation, as in Compiler.CompileCircuit.
+	// Req.Epsilon applies to every rotation, as in Compiler.CompileBatch.
 	Req Request
 	// Workers bounds the Lower pass's pool (0 = GOMAXPROCS).
 	Workers int
@@ -219,8 +218,35 @@ func FuseRotations() Pass {
 // budget allocation and about pipelines that lower some other way.
 func SnapTrivial() Pass {
 	return passFunc{name: "snap", run: func(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
-		return pipeline.SnapTrivialRotations(c), nil
+		out := circuit.New(c.N)
+		for _, op := range c.Ops {
+			if op.G.IsRotation() && trivialRotation(op) {
+				snapTrivial(out, op)
+				continue
+			}
+			out.Add(op)
+		}
+		return out, nil
 	}}
+}
+
+// trivialRotation reports whether op is a π/4-multiple rotation that
+// snaps to discrete gates exactly, consuming no synthesis.
+func trivialRotation(op circuit.Op) bool {
+	tmp := circuit.New(1)
+	tmp.Add(circuit.Op{G: op.G, Q: [2]int{0, -1}, P: op.P})
+	return tmp.CountRotations() == 0
+}
+
+// snapTrivial appends the exact Rz-basis rewrite of the trivial rotation
+// op to out.
+func snapTrivial(out *circuit.Circuit, op circuit.Op) {
+	tmp := circuit.New(1)
+	tmp.Add(circuit.Op{G: op.G, Q: [2]int{0, -1}, P: op.P})
+	for _, o := range transpile.ToRzBasis(tmp).Ops {
+		o.Q[0] = op.Q[0]
+		out.Add(o)
+	}
 }
 
 // FuseBlocks returns the two-qubit block-fusion pass: maximal runs of
@@ -320,12 +346,8 @@ func runLower(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
 			out.Add(op)
 			continue
 		}
-		if pipeline.TrivialRotation(op) {
-			one := circuit.New(c.N)
-			one.Add(op)
-			for _, o := range pipeline.SnapTrivialRotations(one).Ops {
-				out.Add(o)
-			}
+		if trivialRotation(op) {
+			snapTrivial(out, op)
 			continue
 		}
 		j := jobs[ji]

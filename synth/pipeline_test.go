@@ -128,38 +128,6 @@ func TestPipelinePreservesUnitary(t *testing.T) {
 	}
 }
 
-// TestPipelineShimEquivalence: the deprecated CompileCircuit shim and an
-// explicitly composed transpile→lower pipeline must produce identical
-// circuits and accounting (deterministic per-op seeding makes the outputs
-// bit-identical).
-func TestPipelineShimEquivalence(t *testing.T) {
-	c := circuit.New(2)
-	c.H(0).RZ(0, 0.8).CX(0, 1).RX(1, 1.1).RZ(0, 0.8)
-	req := Request{Epsilon: 1e-2}
-	be, _ := Lookup("gridsynth")
-
-	comp := NewCompiler(be, req)
-	old, err := comp.CompileCircuit(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPipeline(be, WithRequest(req), WithPasses(Transpile(), Lower()))
-	res, err := pl.Run(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Circuit.QASM() != res.Circuit.QASM() {
-		t.Fatal("shim and explicit pipeline produced different circuits")
-	}
-	if old.Hits != res.Stats.Hits || old.Misses != res.Stats.Misses || old.Unique != res.Stats.Unique {
-		t.Fatalf("accounting mismatch: shim %d/%d/%d vs pipeline %d/%d/%d",
-			old.Hits, old.Misses, old.Unique, res.Stats.Hits, res.Stats.Misses, res.Stats.Unique)
-	}
-	if old.Setting != res.Stats.Setting || old.IRRotations != res.Stats.IRRotations {
-		t.Fatal("setting/IR metadata mismatch between shim and pipeline")
-	}
-}
-
 // TestPipelinePassesAndProgress: custom pass sequences run in order, emit
 // pass-start and synthesis progress events, and NewPass hooks user stages
 // into the shared context.

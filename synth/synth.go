@@ -26,11 +26,10 @@
 // Layering (see DESIGN.md for the full diagram):
 //
 //	cmd/*, examples/*          — CLIs and demos; talk to synth only
-//	repro (root facade)        — thin deprecated shims over synth
-//	synth                      — Backend, registry, Pipeline + passes,
-//	                             Compiler, Cache
-//	circuit                    — the public circuit IR (QASM in/out)
-//	internal/pipeline          — circuit lowering primitives
+//	synth                      — Backend, registry, Pipeline + passes
+//	                             (the one lowering path), Compiler, Cache
+//	circuit, circuit/gen       — the public circuit IR (QASM in/out) and
+//	                             workload generators
 //	internal/{core,gridsynth,sk,anneal} — the engines
 package synth
 
@@ -70,8 +69,8 @@ type Request struct {
 	// Beam switches trasyn to the deterministic beam-search sampler.
 	Beam bool
 	// Seed pins the sampling randomness. nil selects DefaultSeed; use
-	// Seed(0) for an explicit zero seed — unlike the deprecated facade,
-	// seed 0 is a real seed here, not an alias for "unset".
+	// Seed(0) for an explicit zero seed — seed 0 is a real seed, not an
+	// alias for "unset".
 	Seed *int64
 	// Timeout bounds one synthesis call in addition to any deadline already
 	// on the context (the annealer also uses it as its restart budget).

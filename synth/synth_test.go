@@ -46,9 +46,9 @@ func TestRegistrySemantics(t *testing.T) {
 	}
 }
 
-// TestSeedZeroReachable: the facade's seed-zero bug must be gone — Seed(0)
-// is a real seed (matching core with source 0), and a nil Seed selects the
-// deterministic DefaultSeed (matching core with source 1), never the clock.
+// TestSeedZeroReachable: Seed(0) is a real seed (matching core with
+// source 0), and a nil Seed selects the deterministic DefaultSeed
+// (matching core with source 1), never the clock.
 func TestSeedZeroReachable(t *testing.T) {
 	u := qmat.HaarRandom(rand.New(rand.NewSource(8)))
 	req := Request{TBudget: 5, Tensors: 2, Samples: 600}
