@@ -17,14 +17,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/suite"
+	"repro/circuit/gen"
 	"repro/synth"
 	"repro/synth/serve"
 	"repro/synth/serve/client"
 )
 
 func main() {
-	qasm := suite.QAOAMaxCut(8, 2, 1).QASM()
+	qasm := gen.QAOAMaxCut(8, 2, 1).QASM()
 	req := serve.CompileRequest{QASM: qasm, Backend: "gridsynth", Eps: 0.3}
 	ctx := context.Background()
 

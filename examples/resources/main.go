@@ -11,12 +11,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/suite"
+	"repro/circuit/gen"
 	"repro/synth"
 )
 
 func main() {
-	circ := suite.TFIM(10, 1.0, 0.7).EvolutionCircuit(0.5, 2)
+	circ := gen.TFIM(10, 1.0, 0.7).EvolutionCircuit(0.5, 2)
 	fmt.Printf("TFIM(10) Trotter circuit: %d rotations\n", circ.CountRotations())
 
 	const circuitEps = 0.3 // shared circuit-level budget for both IRs

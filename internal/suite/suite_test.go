@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/circuit"
+	"repro/circuit/gen"
 	"repro/internal/sim"
 )
 
@@ -31,15 +32,15 @@ func TestSuiteHas192Circuits(t *testing.T) {
 func TestSinglePauliRotation(t *testing.T) {
 	cases := []struct {
 		name string
-		ops  map[int]Pauli
+		ops  map[int]gen.Pauli
 	}{
-		{"Z", map[int]Pauli{0: PZ}},
-		{"X", map[int]Pauli{0: PX}},
-		{"Y", map[int]Pauli{0: PY}},
-		{"ZZ", map[int]Pauli{0: PZ, 1: PZ}},
-		{"XY", map[int]Pauli{0: PX, 1: PY}},
-		{"XYZ", map[int]Pauli{0: PX, 1: PY, 2: PZ}},
-		{"YZX", map[int]Pauli{0: PY, 1: PZ, 2: PX}},
+		{"Z", map[int]gen.Pauli{0: gen.PZ}},
+		{"X", map[int]gen.Pauli{0: gen.PX}},
+		{"Y", map[int]gen.Pauli{0: gen.PY}},
+		{"ZZ", map[int]gen.Pauli{0: gen.PZ, 1: gen.PZ}},
+		{"XY", map[int]gen.Pauli{0: gen.PX, 1: gen.PY}},
+		{"XYZ", map[int]gen.Pauli{0: gen.PX, 1: gen.PY, 2: gen.PZ}},
+		{"YZX", map[int]gen.Pauli{0: gen.PY, 1: gen.PZ, 2: gen.PX}},
 	}
 	for _, tc := range cases {
 		theta := 0.7321
@@ -49,7 +50,7 @@ func TestSinglePauliRotation(t *testing.T) {
 				n = q + 1
 			}
 		}
-		h := Hamiltonian{N: n, Terms: []PauliTerm{NewTerm(theta/2, tc.ops)}}
+		h := gen.Hamiltonian{N: n, Terms: []gen.PauliTerm{gen.NewTerm(theta/2, tc.ops)}}
 		// Evolution for t=1, one step: exp(−i·(θ/2)·P).
 		c := h.EvolutionCircuit(1, 1)
 		got := sim.Unitary(c)
@@ -76,7 +77,7 @@ func TestSinglePauliRotation(t *testing.T) {
 // TestCommutingEvolutionExact: for Z-only Hamiltonians all terms commute,
 // so one Trotter step is exact. Check against the diagonal exponential.
 func TestCommutingEvolutionExact(t *testing.T) {
-	h := MaxCutIsing(4, 3)
+	h := gen.MaxCutIsing(4, 3)
 	tval := 0.9
 	c := h.EvolutionCircuit(tval, 1)
 	got := sim.Unitary(c)
@@ -94,7 +95,7 @@ func TestCommutingEvolutionExact(t *testing.T) {
 
 func TestThreeRegularGraph(t *testing.T) {
 	for _, n := range []int{4, 8, 12, 20} {
-		edges := threeRegularEdges(n, 42)
+		edges := gen.ThreeRegularEdges(n, 42)
 		deg := make([]int, n)
 		seen := map[[2]int]bool{}
 		for _, e := range edges {
@@ -119,7 +120,7 @@ func TestThreeRegularGraph(t *testing.T) {
 // TestQAOAStructure: depth-p QAOA on 3-regular graphs has 3n/2·p cost
 // rotations and n·p mixer rotations.
 func TestQAOAStructure(t *testing.T) {
-	c := QAOAMaxCut(8, 2, 7)
+	c := gen.QAOAMaxCut(8, 2, 7)
 	rz, rx := 0, 0
 	for _, op := range c.Ops {
 		switch op.G {
@@ -139,7 +140,7 @@ func TestQAOAStructure(t *testing.T) {
 
 // TestQFTSmall: QFT(2) maps |00⟩ to uniform superposition.
 func TestQFTSmall(t *testing.T) {
-	c := QFT(2)
+	c := gen.QFT(2)
 	s := sim.RunCircuit(c)
 	for i, a := range s.Amp {
 		if math.Abs(cmplx.Abs(a)-0.5) > 1e-9 {
@@ -151,7 +152,7 @@ func TestQFTSmall(t *testing.T) {
 // TestCuccaroAdderAdds: the adder must compute a+b on the b register.
 func TestCuccaroAdderAdds(t *testing.T) {
 	m := 3
-	c := CuccaroAdder(m)
+	c := gen.CuccaroAdder(m)
 	for _, tc := range [][2]int{{1, 2}, {3, 4}, {5, 7}, {0, 0}, {7, 7}} {
 		a, b := tc[0], tc[1]
 		s := sim.NewState(c.N)
@@ -194,7 +195,7 @@ func TestCuccaroAdderAdds(t *testing.T) {
 // basis states.
 func TestWState(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5} {
-		c := WState(n)
+		c := gen.WState(n)
 		s := sim.RunCircuit(c)
 		want := 1 / math.Sqrt(float64(n))
 		for i, a := range s.Amp {
@@ -217,7 +218,7 @@ func TestWState(t *testing.T) {
 // TestGroverAmplifies: after the right number of iterations the marked
 // state dominates.
 func TestGroverAmplifies(t *testing.T) {
-	c := Grover(3, 2, 1)
+	c := gen.Grover(3, 2, 1)
 	s := sim.RunCircuit(c)
 	p := 0.0
 	// Marked state |001⟩ on the first 3 qubits; ancillas must be |0⟩.

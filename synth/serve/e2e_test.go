@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/suite"
+	"repro/circuit/gen"
 	"repro/synth/serve"
 	"repro/synth/serve/client"
 )
@@ -114,7 +114,7 @@ func TestSynthdEndToEnd(t *testing.T) {
 		t.Fatalf("building synthd: %v\n%s", err, out)
 	}
 	snap := filepath.Join(dir, "cache.json")
-	qasm := suite.QAOAMaxCut(6, 1, 1).QASM()
+	qasm := gen.QAOAMaxCut(6, 1, 1).QASM()
 	req := serve.CompileRequest{QASM: qasm, Backend: "gridsynth", Eps: 0.5}
 	ctx := context.Background()
 
