@@ -1,3 +1,14 @@
+// Package repro is a from-scratch Go reproduction of "Reducing T Gates
+// with Unitary Synthesis" (ASPLOS 2026): trasyn, a tensor-network-guided
+// synthesizer that compiles arbitrary single-qubit unitaries directly into
+// Clifford+T sequences, together with the full evaluation stack — a
+// Ross–Selinger gridsynth baseline, a Solovay–Kitaev baseline, a
+// Synthetiq-style annealer, a circuit IR and transpiler, simulators and a
+// 192-circuit benchmark suite.
+//
+// The root package holds no code. Its tests check the paper's headline
+// claims through the synth API, and its benchmarks regenerate the paper's
+// tables and figures; start from package synth.
 package repro
 
 import (
