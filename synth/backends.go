@@ -208,9 +208,9 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 	sub := req
 	sub.Epsilon = req.eps()
 	type out struct {
-		res  Result
-		err  error
-		wall time.Duration
+		res Result
+		err error
+		obs SynthObservation
 	}
 	span := trace.FromContext(ctx)
 	var wg sync.WaitGroup
@@ -222,14 +222,12 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 			rs := span.Child("race:" + be.Name())
 			start := time.Now()
 			r, err := race(trace.NewContext(ctx, rs), be, target, sub)
-			if err != nil {
-				rs.SetAttr("error", err.Error())
-			} else {
-				rs.SetAttr("t_count", r.TCount)
-				rs.SetAttr("err_dist", r.Error)
+			o := SynthObservation{Backend: be.Name(), Epsilon: sub.eps(), Wall: time.Since(start), Failed: err != nil}
+			if err == nil {
+				o.TCount, o.ErrDist = r.TCount, r.Error
 			}
-			rs.End()
-			outs[i] = out{r, err, time.Since(start)}
+			endSpan(rs, o, err)
+			outs[i] = out{r, err, o}
 		}(i, be)
 	}
 	wg.Wait()
@@ -244,21 +242,11 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 	}
 	// Report every non-winning racer — losers with their own timing,
 	// failures flagged — so win-rate statistics see both sides of every
-	// race. The winner itself is reported by the compiler, which also
-	// stamps the angle class on these.
-	if obs := raceObserver(ctx); obs != nil {
-		for i, o := range outs {
-			if i == bestIdx {
-				continue
-			}
-			so := SynthObservation{Backend: racers[i].Name(), Epsilon: sub.eps(), Wall: o.wall}
-			if o.err != nil {
-				so.Failed = true
-			} else {
-				so.TCount = o.res.TCount
-				so.ErrDist = o.res.Error
-			}
-			obs(so)
+	// race. The winner itself is reported by the compiler, whose observer
+	// also stamps the angle class on these.
+	for i, o := range outs {
+		if i != bestIdx {
+			report(ctx, o.obs)
 		}
 	}
 	if bestIdx < 0 {
@@ -277,7 +265,7 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 
 // race runs one racer under the race-boundary containment: the fault
 // injector's racer site fires first, and a panicking racer is recovered
-// into an error — it loses the race (reported Failed through the race
+// into an error — it loses the race (reported Failed through the op's
 // observer like any failing racer) instead of killing the process.
 func race(ctx context.Context, be Backend, target qmat.M2, req Request) (res Result, err error) {
 	site := "racer:" + be.Name()
@@ -286,15 +274,6 @@ func race(ctx context.Context, be Backend, target qmat.M2, req Request) (res Res
 		return Result{}, ferr
 	}
 	return be.Synthesize(ctx, target, req)
-}
-
-// pickWinner prefers the lower T count among results meeting eps, then the
-// lower error.
-func pickWinner(a, b Result, eps float64) Result {
-	if beats(b, a, eps) {
-		return b
-	}
-	return a
 }
 
 // beats reports whether b strictly wins over a: meeting eps beats

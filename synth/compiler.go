@@ -58,11 +58,12 @@ type Compiler struct {
 	// fresh bounded cache, and compilers and pipelines (WithCache) may
 	// share one.
 	Cache *Cache
-	// Observe, when set, fires after every successful synthesis this
-	// compiler performs (worker pool and inline recomputes alike) — the
-	// metrics hook a service uses to histogram synthesis latency by
-	// backend and epsilon without depending on trace sampling. It is
-	// called from worker goroutines and must be safe for concurrent use.
+	// Observe, when set, receives every SynthObservation this compiler
+	// makes: each cache hit, each synthesis it performs (worker pool and
+	// inline recomputes alike), each race loser and failed racer, and
+	// each contained panic — the hook a service feeds its statistics from
+	// without depending on trace sampling. It is called from worker
+	// goroutines and must be safe for concurrent use.
 	Observe func(SynthObservation)
 
 	// mu guards the lazy Cache initialization for zero-value compilers
@@ -277,60 +278,43 @@ feed:
 // records the op's angle class, epsilon, the producing backend (the race
 // winner for "auto"), and the outcome; the backend call itself sees the
 // span in its context, so backend-internal spans (gridsynth's per-k scan,
-// auto's racer spans) nest under it.
+// auto's racer spans) nest under it. The observer synthOne installs on
+// the context receives this op's every report: the result used, a
+// contained panic, and a racing backend's losers and failed racers.
 func (c *Compiler) synthOne(ctx context.Context, j opJob) (Result, error) {
 	req := j.derived()
-	class := j.k.obsClass()
 	sp := trace.FromContext(ctx).Child("synth")
 	if sp != nil {
 		sp.SetAttr("class", j.k.angleClass())
 		sp.SetAttr("eps", req.eps())
 		ctx = trace.NewContext(ctx, sp)
 	}
-	if c.Observe != nil {
-		// Racing backends report losers and failed racers through the
-		// context; the hook stamps the op's class, which only the compiler
-		// knows.
-		obs := c.Observe
-		ctx = withRaceObserver(ctx, func(o SynthObservation) {
+	if obs := c.Observe; obs != nil {
+		// The hook stamps the op's class, which only the compiler knows.
+		class := j.k.obsClass()
+		ctx = withObserver(ctx, func(o SynthObservation) {
 			o.Class = class
 			obs(o)
 		})
 	}
 	res, err := c.synthesizeContained(ctx, j.target, req)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			sp.SetAttr("backend", res.Backend)
-			sp.SetAttr("t_count", res.TCount)
-			sp.SetAttr("err_dist", res.Error)
-		}
-		sp.End()
+	o := SynthObservation{
+		Backend: res.Backend,
+		Epsilon: req.eps(),
+		Wall:    res.Wall,
+		TCount:  res.TCount,
+		ErrDist: res.Error,
+		Won:     true,
 	}
-	if c.Observe != nil {
-		var pe *fault.PanicError
-		switch {
-		case err == nil:
-			c.Observe(SynthObservation{
-				Backend: res.Backend,
-				Epsilon: req.eps(),
-				Wall:    res.Wall,
-				Class:   class,
-				TCount:  res.TCount,
-				ErrDist: res.Error,
-				Won:     true,
-			})
-		case errors.As(err, &pe):
-			// A contained panic is a failed synthesis the statistics must
-			// see (the same Failed shape a failed racer reports).
-			c.Observe(SynthObservation{
-				Backend: c.Backend.Name(),
-				Epsilon: req.eps(),
-				Class:   class,
-				Failed:  true,
-			})
-		}
+	var pe *fault.PanicError
+	if errors.As(err, &pe) {
+		// A contained panic is a failed synthesis the statistics must see
+		// (the same Failed shape a failed racer reports).
+		o = SynthObservation{Backend: c.Backend.Name(), Epsilon: req.eps(), Failed: true}
+	}
+	endSpan(sp, o, err)
+	if err == nil || pe != nil {
+		report(ctx, o)
 	}
 	return res, err
 }
@@ -409,10 +393,11 @@ func (k Key) angleClass() string {
 	return s + ")"
 }
 
-// BatchStats is the cache accounting of one CompileBatchStats call:
-// Unique distinct syntheses performed, and the Hits/Misses charged for
-// this batch's lookups (Hits+Misses counts every lookup the batch made,
-// including eviction recomputes).
+// BatchStats is the cache accounting of one batch of lookups — a
+// CompileBatchStats call, or one Lower pass: Unique distinct syntheses
+// performed, and the Hits/Misses charged for the batch's lookups
+// (Hits+Misses counts every lookup the batch made, including eviction
+// recomputes).
 type BatchStats struct {
 	Unique       int
 	Hits, Misses int
@@ -438,17 +423,35 @@ func (c *Compiler) CompileBatchStats(ctx context.Context, targets []qmat.M2) ([]
 	if c.Backend == nil {
 		return nil, BatchStats{}, fmt.Errorf("synth: Compiler has no Backend")
 	}
-	cache := c.cache()
 	scope := c.Backend.Name()
 	cfg := c.Req.cacheCfg()
 	jobs := make([]opJob, len(targets))
 	for i, u := range targets {
 		jobs[i] = opJob{k: KeyOfTarget(u, scope, c.Req.Epsilon, cfg), target: u, req: c.Req}
 	}
-	missing, hits, misses := c.scanJobs(ctx, jobs)
+	return c.compileJobs(ctx, jobs, nil)
+}
+
+// compileJobs is the synthesis core under both CompileBatchStats and the
+// Lower pass: the counted scan (under a "scan" span carrying hits and
+// misses), the worker pool over the distinct misses (progress as in
+// synthesizeMissing), then one Result per job, in order. A contained
+// panic fails only its own op's Result; any other error drains the pool
+// and is returned with the results assembled so far.
+func (c *Compiler) compileJobs(ctx context.Context, jobs []opJob, progress func(done, total int)) ([]Result, BatchStats, error) {
+	cache := c.cache()
+	scanCtx := ctx
+	sp := trace.FromContext(ctx).Child("scan")
+	if sp != nil {
+		scanCtx = trace.NewContext(ctx, sp)
+	}
+	missing, hits, misses := c.scanJobs(scanCtx, jobs)
+	sp.SetAttr("hits", hits)
+	sp.SetAttr("misses", misses)
+	sp.End()
 	stats := BatchStats{Unique: len(missing), Hits: hits, Misses: misses}
-	computed, err := c.synthesizeMissing(ctx, missing, nil)
-	results := make([]Result, len(targets))
+	computed, err := c.synthesizeMissing(ctx, missing, progress)
+	results := make([]Result, len(jobs))
 	if err != nil {
 		return results, stats, err
 	}

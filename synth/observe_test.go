@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/circuit"
 	"repro/internal/gates"
 	"repro/internal/qmat"
+	"repro/synth/trace"
 )
 
 // namedStub is a deterministic racer: fixed name, fixed T count, or an
@@ -140,6 +143,63 @@ func TestAutoRaceObservations(t *testing.T) {
 		if o.Backend != "winner" || o.TCount != 1 || o.Won || o.Failed {
 			t.Errorf("materialized hit observation: %+v", o)
 		}
+	}
+}
+
+// TestRaceSpansMatchObservations: a traced synthesis through a three-way
+// auto race writes the same outcome onto its spans that the observer
+// receives — each race:<name> span's T count or error matches that
+// racer's observation, and the synth span names the winner's backend.
+func TestRaceSpansMatchObservations(t *testing.T) {
+	rec := &recorder{}
+	comp := NewCompiler(autoBackend{racers: []Backend{
+		&namedStub{name: "winner", tGates: 1},
+		&namedStub{name: "loser", tGates: 3},
+		&namedStub{name: "failer", fail: true},
+	}}, Request{Epsilon: 1e-2})
+	comp.Observe = rec.observe
+	tracer := trace.New(trace.Config{SampleRatio: 1})
+	root := tracer.Start("test")
+	if _, err := comp.CompileBatch(trace.NewContext(context.Background(), root), []qmat.M2{qmat.Rz(0.7)}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	var synthSpans, raceSpans []*trace.Span
+	root.Walk(func(sp *trace.Span) {
+		switch {
+		case sp.Name() == "synth":
+			synthSpans = append(synthSpans, sp)
+		case strings.HasPrefix(sp.Name(), "race:"):
+			raceSpans = append(raceSpans, sp)
+		}
+	})
+	if len(synthSpans) != 1 || len(raceSpans) != 3 {
+		t.Fatalf("got %d synth and %d race spans, want 1 and 3", len(synthSpans), len(raceSpans))
+	}
+	for _, sp := range raceSpans {
+		name := strings.TrimPrefix(sp.Name(), "race:")
+		obs := rec.byBackend(name)
+		if len(obs) != 1 {
+			t.Fatalf("%s: got %d observations, want 1: %+v", name, len(obs), obs)
+		}
+		o := obs[0]
+		if o.Failed {
+			if sp.Attr("error") == "" || sp.Attr("t_count") != "" {
+				t.Errorf("%s: failed racer's span attrs %v", name, sp.Attrs())
+			}
+			continue
+		}
+		if got, want := sp.Attr("t_count"), strconv.Itoa(o.TCount); got != want || sp.Attr("error") != "" {
+			t.Errorf("%s: span t_count %q (error %q), observation %s", name, got, sp.Attr("error"), want)
+		}
+	}
+	wins := rec.byBackend("winner")
+	if len(wins) != 1 || !wins[0].Won {
+		t.Fatalf("winner observations: %+v", wins)
+	}
+	if got := synthSpans[0].Attr("backend"); got != wins[0].Backend {
+		t.Errorf("synth span backend %q, winner observation %q", got, wins[0].Backend)
 	}
 }
 

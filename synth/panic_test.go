@@ -195,7 +195,7 @@ func TestRacerPanicLosesRace(t *testing.T) {
 		mu       sync.Mutex
 		failures []SynthObservation
 	)
-	ctx := withRaceObserver(context.Background(), func(o SynthObservation) {
+	ctx := withObserver(context.Background(), func(o SynthObservation) {
 		mu.Lock()
 		defer mu.Unlock()
 		if o.Failed {

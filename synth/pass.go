@@ -272,7 +272,8 @@ func FuseBlocks() Pass {
 
 // Lower returns the synthesis pass: one counted cache lookup per
 // nontrivial rotation, a worker pool over the distinct misses, then
-// assembly into a Clifford+T circuit. Under a circuit-level budget
+// assembly into a Clifford+T circuit — Compiler.CompileBatch's core over
+// the circuit's rotations. Under a circuit-level budget
 // (CircuitEpsilon > 0) each rotation synthesizes at its allocated share;
 // otherwise every rotation uses Req.Epsilon.
 func Lower() Pass {
@@ -285,9 +286,6 @@ func runLower(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
 	}
 	comp := &Compiler{Backend: pc.Backend, Req: pc.Req, Workers: pc.Workers, Cache: pc.Cache, Observe: pc.Observe}
 	scope := pc.Backend.Name()
-	// Everything below runs under the pass span: scan-phase peer lookups,
-	// the per-op synthesis spans the workers open, and cluster pushes.
-	ctx := trace.NewContext(pc.Ctx, pc.Span)
 	var epss []float64
 	if pc.CircuitEpsilon > 0 {
 		epss = AllocateBudget(c, pc.CircuitEpsilon, pc.Budget)
@@ -310,36 +308,33 @@ func runLower(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
 		})
 	}
 
-	// Scan: counted lookups; first occurrence of an uncached key is the
-	// miss that schedules its one synthesis.
-	scanSpan := pc.Span.Child("scan")
-	missing, hits, misses := comp.scanJobs(trace.NewContext(pc.Ctx, scanSpan), jobs)
-	scanSpan.SetAttr("hits", hits)
-	scanSpan.SetAttr("misses", misses)
-	scanSpan.End()
-	pc.Stats.Hits += hits
-	pc.Stats.Misses += misses
-	pc.Stats.Unique += len(missing)
-
-	// Pool over the distinct misses, with progress events. Workers report
-	// concurrently, so delivery is serialized here — the user hook never
-	// needs to be goroutine-safe.
+	// Workers report progress concurrently, so delivery is serialized
+	// here — the user hook never needs to be goroutine-safe. Everything
+	// runs under the pass span: the scan and its peer lookups, the per-op
+	// synthesis spans the workers open, and cluster pushes.
 	var pmu sync.Mutex
 	progress := func(done, total int) {
 		pmu.Lock()
 		pc.event("lower", done, total)
 		pmu.Unlock()
 	}
-	computed, err := comp.synthesizeMissing(ctx, missing, progress)
+	results, st, err := comp.compileJobs(trace.NewContext(pc.Ctx, pc.Span), jobs, progress)
+	pc.Stats.Hits += st.Hits
+	pc.Stats.Misses += st.Misses
+	pc.Stats.Unique += st.Unique
 	if err != nil {
 		return nil, fmt.Errorf("lowering %s IR: %w", scope, err)
 	}
+	// A contained backend panic fails only its op in batch mode, but a
+	// circuit cannot be assembled around a hole — surface it as this
+	// compile's error (the process survives; the request does not).
+	for _, res := range results {
+		if res.Err != nil {
+			return nil, fmt.Errorf("lowering %s IR: %w", scope, res.Err)
+		}
+	}
 
-	// Assemble. Lookups were charged in the scan; an entry evicted between
-	// phases is recomputed inline and that extra lookup is itself counted
-	// as a miss (the Hits+Misses invariant: every lookup is charged).
 	out := circuit.New(c.N)
-	cache := comp.cache()
 	ji := 0
 	for _, op := range c.Ops {
 		if !op.G.IsRotation() {
@@ -350,32 +345,15 @@ func runLower(pc *PassContext, c *circuit.Circuit) (*circuit.Circuit, error) {
 			snapTrivial(out, op)
 			continue
 		}
-		j := jobs[ji]
+		res := results[ji]
 		ji++
-		// A contained backend panic fails only its op in batch mode, but a
-		// circuit cannot be assembled around a hole — surface it as this
-		// compile's error (the process survives; the request does not).
-		if res, ok := computed[j.k]; ok && res.Err != nil {
-			return nil, fmt.Errorf("lowering %s IR: %w", scope, res.Err)
-		}
-		e, ok := cache.peek(j.k)
-		if !ok {
-			cache.creditMiss()
-			pc.Stats.Misses++
-			res, err := comp.synthOne(ctx, j)
-			if err != nil {
-				return nil, fmt.Errorf("lowering %s IR: %w", scope, err)
-			}
-			cache.PutCtx(ctx, j.k, Entry{Seq: res.Seq, Err: res.Error, Backend: res.Backend})
-			e = Entry{Seq: res.Seq, Err: res.Error, Backend: res.Backend}
-		}
-		for _, o := range circuit.FromSequence(e.Seq, op.Q[0]) {
+		for _, o := range circuit.FromSequence(res.Seq, op.Q[0]) {
 			out.Add(o)
 		}
 		pc.Stats.Rotations++
-		pc.Stats.ErrorBound += e.Err
-		if e.Err > pc.Stats.MaxError {
-			pc.Stats.MaxError = e.Err
+		pc.Stats.ErrorBound += res.Error
+		if res.Error > pc.Stats.MaxError {
+			pc.Stats.MaxError = res.Error
 		}
 	}
 	return out, nil

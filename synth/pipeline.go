@@ -74,11 +74,12 @@ func WithIR(ir IR) Option { return func(p *Pipeline) { p.ir = ir } }
 // be goroutine-safe.
 func WithProgress(fn func(ProgressEvent)) Option { return func(p *Pipeline) { p.progress = fn } }
 
-// WithSynthObserver installs a per-synthesis metrics hook: fn fires after
-// every successful synthesis the Lower pass performs, with the producing
-// backend, epsilon, and wall time. Unlike tracing (which samples), the
-// hook sees every synthesis; it is called from worker goroutines and must
-// be safe for concurrent use.
+// WithSynthObserver installs the Lower pass's observation hook (see
+// Compiler.Observe): fn receives every cache hit, performed synthesis,
+// race loser and failed racer, with the producing backend, epsilon, and
+// wall time. Unlike tracing (which samples), the hook sees every
+// synthesis; it is called from worker goroutines and must be safe for
+// concurrent use.
 func WithSynthObserver(fn func(SynthObservation)) Option {
 	return func(p *Pipeline) { p.observe = fn }
 }

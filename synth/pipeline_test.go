@@ -227,21 +227,22 @@ func TestLowerEvictionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scan: miss(0.3), miss(0.9), pending-hit(0.3). The single-slot cache
-	// then holds only rz(0.9) after the pool, so all three assembly peeks
-	// miss and recompute: 3 more misses. 6 lookups total.
-	if res.Stats.Hits != 1 || res.Stats.Misses != 5 {
-		t.Fatalf("want 1 hit / 5 misses, got %d / %d", res.Stats.Hits, res.Stats.Misses)
+	// Scan: miss(0.3), miss(0.9), pending-hit(0.3). Assembly serves the
+	// first two from the in-flight results; the repeat of rz(0.3) finds
+	// its entry evicted (the single slot holds rz(0.9)) and recomputes:
+	// one extra counted miss, 4 lookups total — CompileBatch's accounting.
+	if res.Stats.Hits != 1 || res.Stats.Misses != 3 {
+		t.Fatalf("want 1 hit / 3 misses, got %d / %d", res.Stats.Hits, res.Stats.Misses)
 	}
 	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 5 {
-		t.Fatalf("cache counters want 1/5, got %+v", st)
+	if st.Hits != 1 || st.Misses != 3 {
+		t.Fatalf("cache counters want 1/3, got %+v", st)
 	}
-	if got, want := st.Hits+st.Misses, int64(6); got != want {
+	if got, want := st.Hits+st.Misses, int64(4); got != want {
 		t.Fatalf("Hits+Misses = %d, want %d lookups", got, want)
 	}
-	if got := stub.calls.Load(); got != 5 {
-		t.Fatalf("backend calls = %d, want 2 pool + 3 recompute", got)
+	if got := stub.calls.Load(); got != 3 {
+		t.Fatalf("backend calls = %d, want 2 pool + 1 recompute", got)
 	}
 }
 
