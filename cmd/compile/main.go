@@ -81,59 +81,36 @@ func main() {
 		fail("%v", err)
 	}
 
-	// An explicit -passes list overrides the canned sequence, so the opt
-	// flags would be silently ignored — refuse the combination instead
-	// (compose optrot/optct inside -passes when hand-building).
-	if *passes != "" && (*opt > 0 || *optList != "") {
-		fail("-opt/-optimizers cannot be combined with -passes; add optrot/optct to the -passes list instead")
+	// The flags are a compile request: -remote sends it to a daemon, the
+	// local path builds its pipeline from it exactly as synthd does.
+	req := serve.CompileRequest{
+		QASM:       src,
+		Backend:    *backend,
+		Eps:        *eps,
+		RotEps:     *rotEps,
+		Budget:     *budget,
+		IR:         *irFlag,
+		Passes:     splitList(*passes),
+		Samples:    *samples,
+		TBudget:    *tbudget,
+		Seed:       synth.Seed(*seed),
+		OptLevel:   *opt,
+		Optimizers: splitList(*optList),
+		Fuse2Q:     *fuse2q,
+		TimeoutMs:  int(*timeout / time.Millisecond),
 	}
-	if *passes != "" && *fuse2q {
-		fail("-fuse2q cannot be combined with -passes; add fuse2q to the -passes list instead")
-	}
-
-	var optimizers []string
-	if *optList != "" {
-		for _, n := range strings.Split(*optList, ",") {
-			n = strings.TrimSpace(n)
-			if _, ok := optimize.Lookup(n); !ok {
-				fail("unknown optimizer %q (have %s)", n, strings.Join(optimize.List(), ", "))
-			}
-			optimizers = append(optimizers, n)
-		}
+	// The timeout is forwarded as timeout_ms for a daemon AND enforced
+	// here, so a stalled daemon cannot outlive the local budget.
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 
 	if *remote != "" {
-		req := serve.CompileRequest{
-			QASM:       src,
-			Backend:    *backend,
-			Eps:        *eps,
-			RotEps:     *rotEps,
-			Budget:     *budget,
-			IR:         *irFlag,
-			Samples:    *samples,
-			TBudget:    *tbudget,
-			Seed:       synth.Seed(*seed),
-			OptLevel:   *opt,
-			Optimizers: optimizers,
-			Fuse2Q:     *fuse2q,
-			TimeoutMs:  int(*timeout / time.Millisecond),
-		}
-		if *passes != "" {
-			for _, n := range strings.Split(*passes, ",") {
-				req.Passes = append(req.Passes, strings.TrimSpace(n))
-			}
-		}
-		// The flag is forwarded as timeout_ms for the daemon AND enforced
-		// here, so a stalled daemon cannot outlive the local budget.
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
 		tracer, root := startTrace(*traceOut, "compile.remote")
-		ctx = trace.NewContext(ctx, root)
-		res, err := client.New(*remote).Compile(ctx, req)
+		res, err := client.New(*remote).Compile(trace.NewContext(ctx, root), req)
 		if err != nil {
 			fail("remote compile of %s: %v", name, err)
 		}
@@ -151,48 +128,9 @@ func main() {
 	if err != nil {
 		fail("parsing %s: %v", name, err)
 	}
-
-	ir, ok := synth.ParseIR(*irFlag)
-	if !ok {
-		fail("unknown -ir %q (have auto, u3, rz)", *irFlag)
-	}
-	strat, ok := synth.ParseBudgetStrategy(*budget)
-	if !ok {
-		fail("unknown -budget %q (have uniform, weighted)", *budget)
-	}
-
-	opts := []synth.Option{
-		synth.WithRequest(synth.Request{
-			Epsilon: *rotEps, Samples: *samples, TBudget: *tbudget, Seed: synth.Seed(*seed),
-		}),
-		synth.WithWorkers(*workers),
-		synth.WithIR(ir),
-	}
-	if *eps > 0 {
-		opts = append(opts, synth.WithCircuitEpsilon(*eps), synth.WithBudgetStrategy(strat))
-	}
-	if *opt > 0 {
-		opts = append(opts, synth.WithOptimize(*opt))
-	}
-	if *fuse2q {
-		opts = append(opts, synth.WithFuseBlocks())
-	}
-	if len(optimizers) > 0 {
-		opts = append(opts, synth.WithOptimizers(optimizers...))
-	}
-	if *passes != "" {
-		var ps []synth.Pass
-		for _, n := range strings.Split(*passes, ",") {
-			p, ok := synth.LookupPass(strings.TrimSpace(n))
-			if !ok {
-				fail("unknown pass %q (have %s)", n, strings.Join(synth.PassNames(), ", "))
-			}
-			ps = append(ps, p)
-		}
-		opts = append(opts, synth.WithPasses(ps...))
-	}
+	extra := []synth.Option{synth.WithWorkers(*workers)}
 	if *verbose {
-		opts = append(opts, synth.WithProgress(func(ev synth.ProgressEvent) {
+		extra = append(extra, synth.WithProgress(func(ev synth.ProgressEvent) {
 			if ev.Total == 0 {
 				fmt.Fprintf(os.Stderr, "compile: pass %s\n", ev.Pass)
 			} else if ev.Done == ev.Total || ev.Done%16 == 0 {
@@ -200,16 +138,9 @@ func main() {
 			}
 		}))
 	}
-
-	pl, err := synth.NewPipelineFor(*backend, opts...)
+	pl, strat, err := req.Pipeline(*backend, extra...)
 	if err != nil {
 		fail("%v", err)
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
 	}
 	tracer, root := startTrace(*traceOut, "compile")
 	res, err := pl.Run(trace.NewContext(ctx, root), circ)
@@ -220,6 +151,19 @@ func main() {
 	writeTrace(*traceOut, tracer, root)
 
 	emit(res.Circuit.QASM(), serve.NewCompileStats(res, pl.Passes(), *eps, strat), *outPath)
+}
+
+// splitList splits a comma-separated flag value into trimmed names (nil
+// for an empty value).
+func splitList(v string) []string {
+	if v == "" {
+		return nil
+	}
+	names := strings.Split(v, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+	}
+	return names
 }
 
 // startTrace builds the always-sample tracer behind -trace. Without the

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 
 	"repro/circuit/gen"
-	"repro/synth"
 	"repro/synth/serve"
 	"repro/synth/serve/client"
 )
@@ -29,8 +28,8 @@ func main() {
 	ctx := context.Background()
 
 	// First daemon lifetime: cold cache.
-	cache := synth.NewCache(0)
-	hs := httptest.NewServer(serve.New(serve.Config{Cache: cache}).Handler())
+	srv := serve.New(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
 	cl := client.New(hs.URL)
 
 	cold, err := cl.Compile(ctx, req)
@@ -51,19 +50,19 @@ func main() {
 	// Graceful "shutdown": flush the snapshot, stop the server.
 	snap := filepath.Join(os.TempDir(), "synthd-example-cache.json")
 	defer os.Remove(snap)
-	if err := cache.SaveFile(snap); err != nil {
+	if err := srv.Cache().SaveFile(snap); err != nil {
 		log.Fatal(err)
 	}
 	hs.Close()
 
-	// Second lifetime: a fresh cache reloads the snapshot, so the first
-	// request of the new process is already warm.
-	cache2 := synth.NewCache(0)
-	n, err := cache2.LoadFile(snap)
+	// Second lifetime: the new server's cache reloads the snapshot, so the
+	// first request of the new process is already warm.
+	srv2 := serve.New(serve.Config{})
+	n, err := srv2.Cache().LoadFile(snap)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs2 := httptest.NewServer(serve.New(serve.Config{Cache: cache2}).Handler())
+	hs2 := httptest.NewServer(srv2.Handler())
 	defer hs2.Close()
 	restarted, err := client.New(hs2.URL).Compile(ctx, req)
 	if err != nil {

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
-
-	"repro/synth/obs"
 )
 
 // latencyBuckets are the request-histogram upper bounds in seconds.
@@ -24,9 +21,8 @@ var queueWaitBuckets = []float64{
 	0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10,
 }
 
-// fineBuckets resolve per-pass and per-synthesis times, which start well
-// under a millisecond (transpile on a small circuit, a warm gridsynth
-// call) and top out around a minute.
+// fineBuckets resolve per-pass times, which start well under a
+// millisecond (transpile on a small circuit) and top out around a minute.
 var fineBuckets = []float64{
 	0.00001, 0.0001, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60,
 }
@@ -67,11 +63,10 @@ type metrics struct {
 	// queueWait observes admission-queue waits — the time split out of
 	// service latency, across all endpoints.
 	queueWait *histogram
-	// synth[backend|eps_band] observes individual synthesis calls; pass
-	// [pass] observes pipeline pass wall times. Both are fed by hooks
-	// that fire on every occurrence, independent of trace sampling.
-	synth map[string]*histogram
-	pass  map[string]*histogram
+	// pass[pass] observes pipeline pass wall times on every compile,
+	// independent of trace sampling. Per-synthesis wall times live in
+	// the obs table (synthd_obs_wall_quantile_seconds).
+	pass map[string]*histogram
 	// rejected counts admissions refused because the queue was full.
 	rejected int64
 	// panics[site] counts panics recovered at a containment boundary
@@ -86,7 +81,6 @@ func newMetrics() *metrics {
 		requests:  map[string]map[int]int64{},
 		latency:   map[string]*histogram{},
 		queueWait: newHistogram(queueWaitBuckets),
-		synth:     map[string]*histogram{},
 		pass:      map[string]*histogram{},
 		panics:    map[string]int64{},
 	}
@@ -127,20 +121,6 @@ func (m *metrics) observeQueueWait(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// observeSynth logs one completed synthesis under its backend and
-// epsilon decade band.
-func (m *metrics) observeSynth(backend, epsBand string, d time.Duration) {
-	key := backend + "|" + epsBand
-	m.mu.Lock()
-	h := m.synth[key]
-	if h == nil {
-		h = newHistogram(fineBuckets)
-		m.synth[key] = h
-	}
-	h.observe(d.Seconds())
-	m.mu.Unlock()
-}
-
 // observePass logs one executed pipeline pass.
 func (m *metrics) observePass(pass string, d time.Duration) {
 	m.mu.Lock()
@@ -159,11 +139,6 @@ func (m *metrics) reject() {
 	m.rejected++
 	m.mu.Unlock()
 }
-
-// epsBand buckets an epsilon into its decade ("1e-7"), the label
-// granularity of synthd_synth_seconds — the same banding the fleet
-// statistics key on, so metrics and /v1/stats rows line up.
-func epsBand(eps float64) string { return obs.EpsBand(eps) }
 
 // scrapeMetric is one point-in-time value the server contributes at
 // scrape time (cache counters, queue depth).
@@ -235,14 +210,6 @@ func (m *metrics) write(w io.Writer, scraped []scrapeMetric) {
 	fmt.Fprintf(w, "# HELP synthd_queue_wait_seconds Time admitted requests spent waiting for an execution slot.\n")
 	fmt.Fprintf(w, "# TYPE synthd_queue_wait_seconds histogram\n")
 	writeHistogram(w, "synthd_queue_wait_seconds", "", m.queueWait)
-
-	fmt.Fprintf(w, "# HELP synthd_synth_seconds Wall time of individual syntheses by producing backend and epsilon decade.\n")
-	fmt.Fprintf(w, "# TYPE synthd_synth_seconds histogram\n")
-	for _, key := range sortedKeys(m.synth) {
-		backend, band, _ := strings.Cut(key, "|")
-		writeHistogram(w, "synthd_synth_seconds",
-			fmt.Sprintf("backend=%q,eps_band=%q", backend, band), m.synth[key])
-	}
 
 	fmt.Fprintf(w, "# HELP synthd_pass_seconds Wall time of pipeline passes by pass name.\n")
 	fmt.Fprintf(w, "# TYPE synthd_pass_seconds histogram\n")

@@ -16,7 +16,6 @@ import (
 
 	"repro/circuit"
 	"repro/internal/qmat"
-	"repro/optimize"
 	"repro/synth"
 	"repro/synth/fault"
 	"repro/synth/obs"
@@ -32,10 +31,10 @@ type Config struct {
 	DefaultBackend string
 	// Workers bounds each compile's synthesis pool (0 = GOMAXPROCS).
 	Workers int
-	// Cache, when set, is the resident cache (a daemon injects the one it
-	// loaded from its snapshot). Otherwise NewCacheSharded(CacheSize,
-	// CacheShards) is built.
-	Cache       *synth.Cache
+	// CacheSize and CacheShards size the resident cache
+	// (NewCacheSharded(CacheSize, CacheShards), or NewCache(CacheSize)
+	// auto-sharded when CacheShards is 0). A daemon fills it from its
+	// snapshot through Server.Cache.
 	CacheSize   int
 	CacheShards int
 	// MaxInflight bounds concurrently executing requests; MaxQueue bounds
@@ -61,12 +60,6 @@ type Config struct {
 	// the shared inflight/queue admission control.
 	TenantRPS   float64
 	TenantBurst int
-	// Obs, when set, is the resident fleet-statistics table (a daemon
-	// injects the one it loaded from its stats sidecar). Otherwise a
-	// fresh empty table is built. Every synthesis observation — winners,
-	// race losers, failed racers, cache hits — feeds it, and GET /v1/stats
-	// reads it.
-	Obs *obs.Stats
 	// Tracer, when set, samples request traces: each sampled POST request
 	// gets a span tree from admission down to individual syntheses,
 	// retrievable from GET /debug/trace. Requests arriving with a
@@ -126,25 +119,19 @@ type Server struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := cfg.Cache
-	if cache == nil {
-		if cfg.CacheShards > 0 {
-			cache = synth.NewCacheSharded(cfg.CacheSize, cfg.CacheShards)
-		} else {
-			// Auto-sharded: 16 ways at default capacity, 1 for small caches.
-			cache = synth.NewCache(cfg.CacheSize)
-		}
-	}
-	ob := cfg.Obs
-	if ob == nil {
-		ob = obs.New()
+	var cache *synth.Cache
+	if cfg.CacheShards > 0 {
+		cache = synth.NewCacheSharded(cfg.CacheSize, cfg.CacheShards)
+	} else {
+		// Auto-sharded: 16 ways at default capacity, 1 for small caches.
+		cache = synth.NewCache(cfg.CacheSize)
 	}
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		metrics: newMetrics(),
-		obs:     ob,
+		obs:     obs.New(),
 		start:   time.Now(),
 	}
 	if cfg.TenantRPS > 0 {
@@ -184,8 +171,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the resident cache (for snapshot flush and tests).
 func (s *Server) Cache() *synth.Cache { return s.cache }
 
-// Obs exposes the resident statistics table (for sidecar persistence on
-// shutdown and tests).
+// Obs exposes the resident statistics table (for sidecar load at startup,
+// persistence on shutdown, and tests).
 func (s *Server) Obs() *obs.Stats { return s.obs }
 
 // apiError carries an HTTP status with a message for the error body.
@@ -465,64 +452,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) (int, err
 	if err != nil {
 		return 0, err
 	}
-	ir, ok := synth.ParseIR(req.IR)
-	if !ok {
-		return 0, badRequest("unknown ir %q (have auto, u3, rz)", req.IR)
-	}
-	strat, ok := synth.ParseBudgetStrategy(req.Budget)
-	if !ok {
-		return 0, badRequest("unknown budget %q (have uniform, weighted)", req.Budget)
-	}
-
-	opts := []synth.Option{
-		synth.WithRequest(synth.Request{
-			Epsilon: req.RotEps, Samples: req.Samples, TBudget: req.TBudget, Seed: req.Seed,
-		}),
+	pl, strat, err := req.Pipeline(name,
 		synth.WithWorkers(s.cfg.Workers),
-		synth.WithIR(ir),
 		synth.WithCache(s.cache),
-		synth.WithSynthObserver(s.observe),
-	}
-	if req.Eps > 0 {
-		opts = append(opts, synth.WithCircuitEpsilon(req.Eps), synth.WithBudgetStrategy(strat))
-	}
-	if req.OptLevel < 0 {
-		return 0, badRequest("negative opt_level %d", req.OptLevel)
-	}
-	if len(req.Passes) > 0 && (req.OptLevel > 0 || len(req.Optimizers) > 0) {
-		// An explicit pass list overrides the canned sequence, so the opt
-		// knobs would be silently ignored — refuse the combination.
-		return 0, badRequest("opt_level/optimizers cannot be combined with passes; add optrot/optct to the pass list instead")
-	}
-	if req.OptLevel > 0 {
-		opts = append(opts, synth.WithOptimize(req.OptLevel))
-	}
-	if req.Fuse2Q {
-		if len(req.Passes) > 0 {
-			return 0, badRequest("fuse_2q cannot be combined with passes; add fuse2q to the pass list instead")
-		}
-		opts = append(opts, synth.WithFuseBlocks())
-	}
-	if len(req.Optimizers) > 0 {
-		for _, n := range req.Optimizers {
-			if _, ok := optimize.Lookup(n); !ok {
-				return 0, badRequest("unknown optimizer %q (have %s)", n, strings.Join(optimize.List(), ", "))
-			}
-		}
-		opts = append(opts, synth.WithOptimizers(req.Optimizers...))
-	}
-	if len(req.Passes) > 0 {
-		var ps []synth.Pass
-		for _, n := range req.Passes {
-			p, ok := synth.LookupPass(strings.TrimSpace(n))
-			if !ok {
-				return 0, badRequest("unknown pass %q (have %s)", n, strings.Join(synth.PassNames(), ", "))
-			}
-			ps = append(ps, p)
-		}
-		opts = append(opts, synth.WithPasses(ps...))
-	}
-	pl, err := synth.NewPipelineFor(name, opts...)
+		synth.WithSynthObserver(s.obs.Observe))
 	if err != nil {
 		return 0, badRequest("%v", err)
 	}
@@ -583,7 +516,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) (int, 
 		Req:     synth.Request{Epsilon: req.Eps, Samples: req.Samples, TBudget: req.TBudget, Seed: req.Seed},
 		Workers: s.cfg.Workers,
 		Cache:   s.cache,
-		Observe: s.observe,
+		Observe: s.obs.Observe,
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()

@@ -85,6 +85,10 @@ func TestCompileValidation(t *testing.T) {
 		{"unknown ir", serve.CompileRequest{QASM: testQASM, IR: "zx"}},
 		{"unknown budget", serve.CompileRequest{QASM: testQASM, Eps: 0.1, Budget: "exponential"}},
 		{"unknown pass", serve.CompileRequest{QASM: testQASM, Passes: []string{"optimize-harder"}}},
+		{"negative opt_level", serve.CompileRequest{QASM: testQASM, OptLevel: -1}},
+		{"passes with opt_level", serve.CompileRequest{QASM: testQASM, Passes: []string{"transpile", "lower"}, OptLevel: 1}},
+		{"passes with optimizers", serve.CompileRequest{QASM: testQASM, Passes: []string{"transpile", "lower"}, Optimizers: []string{"peephole"}}},
+		{"passes with fuse_2q", serve.CompileRequest{QASM: testQASM, Passes: []string{"transpile", "lower"}, Fuse2Q: true}},
 	}
 	for _, tc := range cases {
 		_, err := cl.Compile(ctx, tc.req)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/synth"
 	"repro/synth/obs"
 )
 
@@ -25,18 +24,6 @@ type statsPayload struct {
 	Inflight    int           `json:"inflight"`
 	QueueDepth  int           `json:"queue_depth"`
 	Obs         *obs.Snapshot `json:"obs"`
-}
-
-// observe routes one synthesis observation to both sinks: the fleet
-// statistics table sees everything (winners, losers, failures, cache
-// hits); the synthd_synth_seconds histogram keeps its meaning — wall
-// time of performed syntheses — so hits (no wall time) and failures (no
-// result) stay out of it.
-func (s *Server) observe(o synth.SynthObservation) {
-	s.obs.Observe(o)
-	if !o.CacheHit && !o.Failed {
-		s.metrics.observeSynth(o.Backend, epsBand(o.Epsilon), o.Wall)
-	}
 }
 
 // localStats snapshots this node's service gauges and statistics table.

@@ -19,9 +19,11 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
+	"repro/optimize"
 	"repro/synth"
 	"repro/synth/serve/cluster"
 )
@@ -64,6 +66,71 @@ type CompileRequest struct {
 	// TimeoutMs bounds this compile inside the server's own request
 	// timeout; the tighter of the two wins.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
+}
+
+// Pipeline checks the request's pipeline fields and builds the pipeline
+// they describe over the named backend (the caller resolves the default),
+// returning the budget strategy NewCompileStats echoes. extra carries the
+// caller's own wiring — workers, cache, observer, progress — and applies
+// last. synthd and cmd/compile's local path both build through it, so one
+// request compiles the same way in either place. QASM and TimeoutMs are
+// the caller's to handle.
+func (req CompileRequest) Pipeline(backend string, extra ...synth.Option) (*synth.Pipeline, synth.BudgetStrategy, error) {
+	ir, ok := synth.ParseIR(req.IR)
+	if !ok {
+		return nil, 0, fmt.Errorf("unknown ir %q (have auto, u3, rz)", req.IR)
+	}
+	strat, ok := synth.ParseBudgetStrategy(req.Budget)
+	if !ok {
+		return nil, 0, fmt.Errorf("unknown budget %q (have uniform, weighted)", req.Budget)
+	}
+	opts := []synth.Option{
+		synth.WithRequest(synth.Request{
+			Epsilon: req.RotEps, Samples: req.Samples, TBudget: req.TBudget, Seed: req.Seed,
+		}),
+		synth.WithIR(ir),
+	}
+	if req.Eps > 0 {
+		opts = append(opts, synth.WithCircuitEpsilon(req.Eps), synth.WithBudgetStrategy(strat))
+	}
+	if req.OptLevel < 0 {
+		return nil, 0, fmt.Errorf("negative opt_level %d", req.OptLevel)
+	}
+	if len(req.Passes) > 0 && (req.OptLevel > 0 || len(req.Optimizers) > 0) {
+		// An explicit pass list overrides the canned sequence, so the opt
+		// knobs would be silently ignored — refuse the combination.
+		return nil, 0, fmt.Errorf("opt_level/optimizers cannot be combined with passes; add optrot/optct to the pass list instead")
+	}
+	if req.OptLevel > 0 {
+		opts = append(opts, synth.WithOptimize(req.OptLevel))
+	}
+	if req.Fuse2Q {
+		if len(req.Passes) > 0 {
+			return nil, 0, fmt.Errorf("fuse_2q cannot be combined with passes; add fuse2q to the pass list instead")
+		}
+		opts = append(opts, synth.WithFuseBlocks())
+	}
+	if len(req.Optimizers) > 0 {
+		for _, n := range req.Optimizers {
+			if _, ok := optimize.Lookup(n); !ok {
+				return nil, 0, fmt.Errorf("unknown optimizer %q (have %s)", n, strings.Join(optimize.List(), ", "))
+			}
+		}
+		opts = append(opts, synth.WithOptimizers(req.Optimizers...))
+	}
+	if len(req.Passes) > 0 {
+		var ps []synth.Pass
+		for _, n := range req.Passes {
+			p, ok := synth.LookupPass(strings.TrimSpace(n))
+			if !ok {
+				return nil, 0, fmt.Errorf("unknown pass %q (have %s)", n, strings.Join(synth.PassNames(), ", "))
+			}
+			ps = append(ps, p)
+		}
+		opts = append(opts, synth.WithPasses(ps...))
+	}
+	pl, err := synth.NewPipelineFor(backend, append(opts, extra...)...)
+	return pl, strat, err
 }
 
 // CompileStats is the stats record of one compile — the same shape
