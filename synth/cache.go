@@ -142,9 +142,9 @@ type Cache struct {
 	shards []*cacheShard
 	mask   uint64 // len(shards)-1; shard count is a power of two
 	cap    int
-	// creditHits/creditMisses charge the key-less accounting paths
-	// (creditHit/creditMiss) without electing a shard for them.
-	creditHits, creditMisses atomic.Int64
+	// creditHits charges the key-less accounting path (creditHit) without
+	// electing a shard for it.
+	creditHits atomic.Int64
 	// peer holds the optional second-tier hooks a cache cluster installs
 	// (SetPeer): lookup fills local misses from a remote owner, fill
 	// publishes fresh local syntheses to it.
@@ -309,27 +309,10 @@ func (c *Cache) creditHit() {
 	c.creditHits.Add(1)
 }
 
-// creditMiss records a miss for a lookup performed via peek — a job that
-// finds its entry evicted between phases and recomputes inline charges
-// that second lookup here, keeping Hits+Misses equal to the lookups
-// actually performed.
-func (c *Cache) creditMiss() {
-	c.creditMisses.Add(1)
-}
-
 // Peek is Get without accounting, recency update, or peer consultation —
 // the lookup a remote cluster probe uses, so cross-node traffic neither
 // distorts local LRU order nor inflates the hit/miss counters.
-func (c *Cache) Peek(k Key) (Entry, bool) { return c.peek(k) }
-
-// PutQuiet stores k → e without reporting it to any peer fill hook — the
-// insert path for entries that arrived from another cluster node, which
-// must not bounce back to it.
-func (c *Cache) PutQuiet(k Key, e Entry) { c.putQuiet(k, e) }
-
-// peek is Get without accounting or recency update; used when assembling
-// output from entries the caller already charged for.
-func (c *Cache) peek(k Key) (Entry, bool) {
+func (c *Cache) Peek(k Key) (Entry, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,9 +394,8 @@ func (c *Cache) Cap() int { return c.cap }
 // them; after the cache quiesces it is exact.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
-		Hits:   c.creditHits.Load(),
-		Misses: c.creditMisses.Load(),
-		Cap:    c.cap,
+		Hits: c.creditHits.Load(),
+		Cap:  c.cap,
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()

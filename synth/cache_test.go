@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -157,7 +158,7 @@ func TestCacheConcurrent(t *testing.T) {
 // peer lookup — a peer hit counts as a hit (the Hits+Misses==lookups
 // invariant survives the peer tier) and lands in the local cache without
 // re-publishing; a Put of locally produced entries notifies the fill
-// hook; PutQuiet never does.
+// hook; LoadSnapshot never does.
 func TestCachePeerTier(t *testing.T) {
 	c := NewCache(8)
 	remote := map[Key]Entry{}
@@ -190,15 +191,21 @@ func TestCachePeerTier(t *testing.T) {
 		t.Fatal("hit on a key neither tier holds")
 	}
 
-	// Put publishes through the fill hook exactly once; PutQuiet is the
-	// no-publish path (snapshot loads, peer-pushed entries).
+	// Put publishes through the fill hook exactly once; LoadSnapshot is
+	// the no-publish path (snapshot loads, peer-pushed entries).
 	c.Put(kLocal, Entry{Seq: gates.Sequence{gates.T}, Err: 0.001})
 	if len(fills) != 1 || fills[0] != kLocal {
 		t.Fatalf("fills after Put = %v, want [%v]", fills, kLocal)
 	}
-	c.PutQuiet(kMiss, Entry{Seq: gates.Sequence{gates.T}, Err: 0.001})
+	var push bytes.Buffer
+	if err := WriteSnapshot(&push, []Record{NewRecord(kMiss, Entry{Seq: gates.Sequence{gates.T}, Err: 0.001})}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadSnapshot(&push); err != nil {
+		t.Fatal(err)
+	}
 	if len(fills) != 1 {
-		t.Fatalf("PutQuiet published through the fill hook: %v", fills)
+		t.Fatalf("LoadSnapshot published through the fill hook: %v", fills)
 	}
 
 	st := c.Stats()

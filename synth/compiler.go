@@ -59,11 +59,11 @@ type Compiler struct {
 	// share one.
 	Cache *Cache
 	// Observe, when set, receives every SynthObservation this compiler
-	// makes: each cache hit, each synthesis it performs (worker pool and
-	// inline recomputes alike), each race loser and failed racer, and
-	// each contained panic — the hook a service feeds its statistics from
-	// without depending on trace sampling. It is called from worker
-	// goroutines and must be safe for concurrent use.
+	// makes: each cache hit, each synthesis it performs, each race loser
+	// and failed racer, and each contained panic — the hook a service
+	// feeds its statistics from without depending on trace sampling. It
+	// is called from worker goroutines and must be safe for concurrent
+	// use.
 	Observe func(SynthObservation)
 
 	// mu guards the lazy Cache initialization for zero-value compilers
@@ -150,31 +150,36 @@ func (j opJob) derived() Request {
 	return req
 }
 
-// scanJobs performs the counted cache lookups for a job list: the first
-// occurrence of an uncached key is a miss (and scheduled once); later
-// occurrences are hits — they will be served by that one synthesis.
+// scanJobs performs the counted cache lookups for a job list and keeps
+// what they found: every job the cache serves gets its Result here. The
+// first occurrence of an uncached key is a miss (and scheduled once);
+// later occurrences are hits — they will be served by that one synthesis.
+// Both wait for the pool, and their indices are returned in job order.
 // Lookups run under ctx, so peer-tier consultations are cancellable and
 // traced.
-func (c *Compiler) scanJobs(ctx context.Context, jobs []opJob) (missing []opJob, hits, misses int) {
+func (c *Compiler) scanJobs(ctx context.Context, jobs []opJob, results []Result) (missing []opJob, wait []int, hits, misses int) {
 	cache := c.cache()
 	pending := map[Key]bool{}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		if pending[j.k] {
 			cache.creditHit()
 			hits++
 			c.observeHit(j, Entry{}, false)
+			wait = append(wait, i)
 			continue
 		}
 		if e, ok := cache.GetCtx(ctx, j.k); ok {
 			hits++
 			c.observeHit(j, e, true)
+			results[i] = c.fromEntry(e)
 			continue
 		}
 		misses++
 		pending[j.k] = true
 		missing = append(missing, j)
+		wait = append(wait, i)
 	}
-	return missing, hits, misses
+	return missing, wait, hits, misses
 }
 
 // observeHit reports a cache hit to the Observe hook. On the
@@ -396,8 +401,7 @@ func (k Key) angleClass() string {
 // BatchStats is the cache accounting of one batch of lookups — a
 // CompileBatchStats call, or one Lower pass: Unique distinct syntheses
 // performed, and the Hits/Misses charged for the batch's lookups
-// (Hits+Misses counts every lookup the batch made, including eviction
-// recomputes).
+// (Hits+Misses counts every lookup the batch made, one per op).
 type BatchStats struct {
 	Unique       int
 	Hits, Misses int
@@ -435,58 +439,37 @@ func (c *Compiler) CompileBatchStats(ctx context.Context, targets []qmat.M2) ([]
 // compileJobs is the synthesis core under both CompileBatchStats and the
 // Lower pass: the counted scan (under a "scan" span carrying hits and
 // misses), the worker pool over the distinct misses (progress as in
-// synthesizeMissing), then one Result per job, in order. A contained
-// panic fails only its own op's Result; any other error drains the pool
-// and is returned with the results assembled so far.
+// synthesizeMissing), then one Result per job, in order, assembled only
+// from what the scan and the pool returned — the cache is read once per
+// lookup. A contained panic fails only its own op's Result; any other
+// error drains the pool and is returned with the results assembled so far.
 func (c *Compiler) compileJobs(ctx context.Context, jobs []opJob, progress func(done, total int)) ([]Result, BatchStats, error) {
-	cache := c.cache()
+	results := make([]Result, len(jobs))
 	scanCtx := ctx
 	sp := trace.FromContext(ctx).Child("scan")
 	if sp != nil {
 		scanCtx = trace.NewContext(ctx, sp)
 	}
-	missing, hits, misses := c.scanJobs(scanCtx, jobs)
+	missing, wait, hits, misses := c.scanJobs(scanCtx, jobs, results)
 	sp.SetAttr("hits", hits)
 	sp.SetAttr("misses", misses)
 	sp.End()
 	stats := BatchStats{Unique: len(missing), Hits: hits, Misses: misses}
 	computed, err := c.synthesizeMissing(ctx, missing, progress)
-	results := make([]Result, len(jobs))
 	if err != nil {
 		return results, stats, err
 	}
-	for i, j := range jobs {
-		if res, ok := computed[j.k]; ok {
-			// The freshly synthesized occurrence keeps its full metadata
-			// (wall time, evals); repeats read the amortized entry. A
-			// failed op's record stays put so its repeats report the same
-			// failure instead of falling through to an inline recompute.
-			results[i] = res
-			if res.Err == nil {
-				delete(computed, j.k)
-			}
-			continue
-		}
-		if e, ok := cache.peek(j.k); ok {
-			results[i] = c.fromEntry(e)
-			continue
-		}
-		// Evicted between phases (cache smaller than the batch's distinct
-		// angles): recompute inline. The scan never charged this second
-		// lookup, so credit the miss — Hits+Misses must count every lookup.
-		cache.creditMiss()
-		stats.Misses++
-		res, serr := c.synthOne(ctx, j)
-		if serr != nil {
-			var pe *fault.PanicError
-			if !errors.As(serr, &pe) {
-				return results, stats, serr
-			}
-			results[i] = Result{Err: serr, Backend: c.Backend.Name()}
-			continue
-		}
-		cache.PutCtx(ctx, j.k, Entry{Seq: res.Seq, Err: res.Error, Backend: res.Backend})
+	for _, i := range wait {
+		k := jobs[i].k
+		res := computed[k]
 		results[i] = res
+		// The freshly synthesized occurrence keeps its full metadata (wall
+		// time, evals); repeats read it as amortized, like a cache hit. A
+		// failed op's record stays put so its repeats report the same
+		// failure.
+		if res.Err == nil {
+			computed[k] = c.fromEntry(Entry{Seq: res.Seq, Err: res.Error, Backend: res.Backend})
+		}
 	}
 	return results, stats, nil
 }

@@ -114,7 +114,7 @@ type PipelineStats struct {
 	Epsilon  float64
 	Strategy BudgetStrategy
 	// Unique counts distinct syntheses; Hits and Misses count every cache
-	// lookup the run performed (scan lookups plus any eviction recomputes).
+	// lookup the run performed, one per synthesizable rotation.
 	Unique       int
 	Hits, Misses int
 	// Resources is filled by the EstimateResources pass.

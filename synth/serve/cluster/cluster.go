@@ -18,6 +18,10 @@
 //	GET /v1/peer/snapshot                                 full snapshot stream
 //	GET /v1/peer/stats                                    node statistics (opaque JSON)
 //
+// Entries cross the wire in one form, synth.Record: a lookup answers
+// with one, a push is a one-record snapshot, and a seed stream is a full
+// snapshot. Every one of them reaches the cache through Record.Decode.
+//
 // The stats endpoint serves whatever payload the mounting layer provides
 // (SetStatsProvider) — the cluster only moves the bytes, so the peer
 // protocol stays agnostic of the statistics schema. PeerStats fans the
@@ -36,6 +40,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -48,7 +53,6 @@ import (
 	"time"
 
 	"repro/circuit"
-	"repro/internal/gates"
 	"repro/synth"
 	"repro/synth/fault"
 	"repro/synth/trace"
@@ -268,16 +272,76 @@ func (n *Node) allowPeer(id string) (*breaker, bool) {
 	return br, true
 }
 
-func brSuccess(br *breaker) {
-	if br != nil {
-		br.Success()
+// errBreakerOpen marks a call skipped because the peer's breaker is
+// open: a sub-millisecond local fall-through where a timeout would have
+// been. It is neither a peer error nor an attempted push.
+var errBreakerOpen = errors.New("breaker open")
+
+// errNotFound is a peer's 404: a healthy answer (the peer is up, it just
+// doesn't have what was asked for), so it counts for the breaker.
+var errNotFound = errors.New("not found")
+
+// call is the one outbound peer request — lookup, owner push and stats
+// fan-out alike. It passes id's breaker gate (a skip is counted and
+// returns errBreakerOpen), bounds the call by timeout, consults the
+// "peer:<id>:<op>" fault site inside that bound (so injected latency
+// races the real deadline, exactly as a slow peer would), sends the
+// request with sp's traceparent, and hands a 2xx answer's body to read
+// (when non-nil). The breaker hears one outcome per call that reached the
+// gate: success for a 2xx whose body read cleanly or a 404; failure for
+// everything else. Failures are also recorded on sp.
+func (n *Node) call(ctx context.Context, sp *trace.Span, id, op string, timeout time.Duration, method, path string, body []byte, read func(io.Reader) error) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, n.peers[id]+path, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if h := sp.HeaderValue(); h != "" {
+		req.Header.Set(trace.Header, h)
+	}
+	br, ok := n.allowPeer(id)
+	if !ok {
+		sp.SetAttr("breaker", "open")
+		return errBreakerOpen
+	}
+	err = n.send(req, id, op, read)
+	if br != nil {
+		if err == nil || err == errNotFound {
+			br.Success()
+		} else {
+			br.Failure(time.Now())
+		}
+	}
+	if err != nil && err != errNotFound {
+		sp.SetAttr("error", err.Error())
+	}
+	return err
 }
 
-func brFailure(br *breaker) {
-	if br != nil {
-		br.Failure(time.Now())
+// send is call past the breaker gate: the fault site, the round trip and
+// the status check.
+func (n *Node) send(req *http.Request, id, op string, read func(io.Reader) error) error {
+	if err := n.inject(req.Context(), "peer:"+id+":"+op); err != nil {
+		return err
 	}
+	res, err := n.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer res.Body.Close()
+	switch {
+	case res.StatusCode == http.StatusNotFound:
+		return errNotFound
+	case res.StatusCode < 200 || res.StatusCode > 299:
+		return fmt.Errorf("HTTP %d", res.StatusCode)
+	case read != nil:
+		return read(res.Body)
+	}
+	return nil
 }
 
 // KeysOwned counts the live entries in the attached cache whose ring
@@ -321,16 +385,6 @@ func (n *Node) SetStatsProvider(fn func() ([]byte, error)) {
 	n.statsProvider.Store(&fn)
 }
 
-// Peers returns a copy of the peer map (every OTHER member's ID → base
-// URL).
-func (n *Node) Peers() map[string]string {
-	out := make(map[string]string, len(n.peers))
-	for id, base := range n.peers {
-		out[id] = base
-	}
-	return out
-}
-
 // PeerStat is one peer's answer to a stats fan-out: its raw payload, or
 // the error that kept it from answering. Exactly one field is set.
 type PeerStat struct {
@@ -350,147 +404,85 @@ func (n *Node) PeerStats(ctx context.Context) map[string]PeerStat {
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
-	for id, base := range n.peers {
+	for id := range n.peers {
 		wg.Add(1)
-		go func(id, base string) {
+		go func(id string) {
 			defer wg.Done()
-			raw, err := n.fetchPeerStats(ctx, id, base)
+			var raw json.RawMessage
+			err := n.call(ctx, nil, id, "stats", n.cfg.PushTimeout, http.MethodGet, "/v1/peer/stats", nil,
+				func(r io.Reader) (err error) {
+					raw, err = io.ReadAll(io.LimitReader(r, 16<<20))
+					return err
+				})
+			ps := PeerStat{Raw: raw}
+			if err != nil {
+				ps = PeerStat{Err: fmt.Errorf("cluster: peer %s stats: %w", id, err)}
+			}
 			mu.Lock()
-			out[id] = PeerStat{Raw: raw, Err: err}
+			out[id] = ps
 			mu.Unlock()
-		}(id, base)
+		}(id)
 	}
 	wg.Wait()
 	return out
 }
 
-func (n *Node) fetchPeerStats(ctx context.Context, id, base string) (json.RawMessage, error) {
-	br, ok := n.allowPeer(id)
-	if !ok {
-		return nil, fmt.Errorf("cluster: peer %s: breaker open", id)
-	}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.PushTimeout)
-	defer cancel()
-	if err := n.inject(ctx, "peer:"+id+":stats"); err != nil {
-		brFailure(br)
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/peer/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := n.hc.Do(req)
-	if err != nil {
-		brFailure(br)
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		brFailure(br)
-		return nil, fmt.Errorf("cluster: peer stats: HTTP %d", res.StatusCode)
-	}
-	raw, err := io.ReadAll(io.LimitReader(res.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	brSuccess(br)
-	return raw, nil
-}
-
-// lookup is the cache's miss hook: one GET to the key's owner. It runs
-// under the triggering request's context — cancelled with it, and traced
-// as a "peer.lookup" span whose identity travels to the owner in the
-// traceparent header (the owner records the matching "peer.serve"
-// fragment in its own ring).
+// lookup is the cache's miss hook: one GET to the key's owner, whose
+// answer is a Record decoded like any other entry from outside the
+// process. It runs under the triggering request's context — cancelled
+// with it, and traced as a "peer.lookup" span whose identity travels to
+// the owner in the traceparent header (the owner records the matching
+// "peer.serve" fragment in its own ring). A skip by the owner's open
+// breaker falls through to local synthesis without paying the lookup
+// timeout, and is not a peer error — the error already happened when the
+// breaker tripped.
 func (n *Node) lookup(ctx context.Context, k synth.Key) (synth.Entry, bool) {
 	owner := n.ring.OwnerOf(k)
 	if owner == n.selfID {
 		return synth.Entry{}, false
 	}
 	sp := trace.FromContext(ctx).Child("peer.lookup")
+	defer sp.End()
 	sp.SetAttr("peer", owner)
-	e, ok := n.lookupSpan(ctx, k, owner, sp)
-	sp.SetAttr("hit", ok)
-	sp.End()
-	return e, ok
-}
-
-func (n *Node) lookupSpan(ctx context.Context, k synth.Key, owner string, sp *trace.Span) (synth.Entry, bool) {
-	br, ok := n.allowPeer(owner)
-	if !ok {
-		// The owner's breaker is open: fall through to local synthesis
-		// without paying the lookup timeout. Not a peer error — the
-		// error already happened when the breaker tripped.
-		sp.SetAttr("breaker", "open")
-		return synth.Entry{}, false
-	}
-	base := n.peers[owner]
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.LookupTimeout)
-	defer cancel()
-	// Injection sits inside the lookup-timeout scope so latency/timeout
-	// faults race the real deadline, exactly as a slow peer would.
-	if err := n.inject(ctx, "peer:"+owner+":lookup"); err != nil {
-		n.peerErrors.Add(1)
-		brFailure(br)
-		sp.SetAttr("error", err.Error())
-		return synth.Entry{}, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/peer/cache?"+keyQuery(k), nil)
-	if err != nil {
-		n.peerErrors.Add(1)
-		return synth.Entry{}, false
-	}
-	if h := sp.HeaderValue(); h != "" {
-		req.Header.Set(trace.Header, h)
-	}
-	res, err := n.hc.Do(req)
-	if err != nil {
-		n.peerErrors.Add(1)
-		brFailure(br)
-		sp.SetAttr("error", err.Error())
-		return synth.Entry{}, false
-	}
-	defer res.Body.Close()
-	switch res.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		// A miss is a healthy answer: the peer is up, it just doesn't
-		// have the key.
+	var e synth.Entry
+	err := n.call(ctx, sp, owner, "lookup", n.cfg.LookupTimeout, http.MethodGet, "/v1/peer/cache?"+keyQuery(k), nil,
+		func(r io.Reader) error {
+			var rec synth.Record
+			if err := json.NewDecoder(r).Decode(&rec); err != nil {
+				return err
+			}
+			got, ent, err := rec.Decode()
+			if err == nil && got != k {
+				err = fmt.Errorf("cluster: peer %s answered for another key", owner)
+			}
+			e = ent
+			return err
+		})
+	switch err {
+	case nil:
+		n.peerHits.Add(1)
+	case errNotFound:
 		n.peerMisses.Add(1)
-		brSuccess(br)
-		return synth.Entry{}, false
+	case errBreakerOpen:
 	default:
 		n.peerErrors.Add(1)
-		brFailure(br)
-		return synth.Entry{}, false
 	}
-	var we wireEntry
-	if err := json.NewDecoder(res.Body).Decode(&we); err != nil {
-		n.peerErrors.Add(1)
-		brFailure(br)
-		return synth.Entry{}, false
-	}
-	e, err := we.entry()
-	if err != nil {
-		n.peerErrors.Add(1)
-		brFailure(br)
-		return synth.Entry{}, false
-	}
-	n.peerHits.Add(1)
-	brSuccess(br)
-	return e, true
+	sp.SetAttr("hit", err == nil)
+	return e, err == nil
 }
 
 // fill is the cache's put hook: a fresh local synthesis of a key some
-// other node owns is pushed there asynchronously, so the owner answers
-// every future cluster-wide lookup for it. Push failures are counted
-// and dropped — the entry is still cached locally, and determinism
-// means any node can always recompute it. The push is traced as a
+// other node owns is pushed there asynchronously, as a one-record
+// snapshot the owner loads like any other, so the owner answers every
+// future cluster-wide lookup for it. Push failures are counted and
+// dropped — the entry is still cached locally, and determinism means any
+// node can always recompute it; for the same reason a push the owner's
+// open breaker skips is not attempted at all. The push is traced as a
 // "peer.push" child of the span in ctx; because it is asynchronous the
 // span may end after the request's root was reported, which the trace
 // ring tolerates (late child ends update the retained tree). The HTTP
-// call itself deliberately does NOT use the request's context — the
-// push must survive the request completing.
+// call itself deliberately does NOT use the request's context — the push
+// must survive the request completing.
 func (n *Node) fill(ctx context.Context, k synth.Key, e synth.Entry) {
 	owner := n.ring.OwnerOf(k)
 	if owner == n.selfID {
@@ -498,58 +490,21 @@ func (n *Node) fill(ctx context.Context, k synth.Key, e synth.Entry) {
 	}
 	sp := trace.FromContext(ctx).Child("peer.push")
 	sp.SetAttr("peer", owner)
-	br, ok := n.allowPeer(owner)
-	if !ok {
-		// Owner's breaker is open: skip the push entirely. The entry is
-		// cached locally and determinism lets any node recompute it, so
-		// nothing is lost but affinity — which the dead owner has
-		// already lost anyway.
-		sp.SetAttr("breaker", "open")
-		sp.End()
-		return
-	}
-	base := n.peers[owner]
 	n.pending.Add(1)
-	n.pushes.Add(1)
 	go func() {
 		defer n.pending.Done()
 		defer sp.End()
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout)
-		defer cancel()
-		if err := n.inject(ctx, "peer:"+owner+":push"); err != nil {
-			n.pushErrors.Add(1)
-			brFailure(br)
-			sp.SetAttr("error", err.Error())
-			return
+		var body bytes.Buffer
+		err := synth.WriteSnapshot(&body, []synth.Record{synth.NewRecord(k, e)})
+		if err == nil {
+			err = n.call(context.Background(), sp, owner, "push", n.cfg.PushTimeout, http.MethodPut, "/v1/peer/cache", body.Bytes(), nil)
 		}
-		body, err := json.Marshal(wirePut{Key: wireKey(k), Entry: newWireEntry(e)})
-		if err != nil {
-			n.pushErrors.Add(1)
-			return
+		if err != errBreakerOpen {
+			n.pushes.Add(1)
+			if err != nil {
+				n.pushErrors.Add(1)
+			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/v1/peer/cache", bytes.NewReader(body))
-		if err != nil {
-			n.pushErrors.Add(1)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if h := sp.HeaderValue(); h != "" {
-			req.Header.Set(trace.Header, h)
-		}
-		res, err := n.hc.Do(req)
-		if err != nil {
-			n.pushErrors.Add(1)
-			brFailure(br)
-			sp.SetAttr("error", err.Error())
-			return
-		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusNoContent && res.StatusCode != http.StatusOK {
-			n.pushErrors.Add(1)
-			brFailure(br)
-			return
-		}
-		brSuccess(br)
 	}()
 }
 
@@ -661,10 +616,12 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(newWireEntry(e))
+	json.NewEncoder(w).Encode(synth.NewRecord(k, e))
 }
 
-// handlePut accepts an owner fill push.
+// handlePut accepts an owner fill push: a snapshot (one record, as fill
+// sends it) loaded quietly, so it never bounces back to the sender. A
+// body LoadSnapshot refuses is a 400 and stores nothing.
 func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	sp := n.remoteFragment(r, "peer.serve.put")
 	defer sp.End()
@@ -673,17 +630,10 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no cache attached", http.StatusServiceUnavailable)
 		return
 	}
-	var p wirePut
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&p); err != nil {
+	if _, err := c.LoadSnapshot(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	e, err := p.Entry.entry()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	c.PutQuiet(p.Key.key(), e)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -701,52 +651,6 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		// abort. Snapshot only fails on writer errors anyway.
 		return
 	}
-}
-
-// --- wire forms ---
-
-// wireKey flattens a synth.Key for query strings and JSON.
-type wireKeyT struct {
-	Gate  uint8  `json:"gate"`
-	A     int64  `json:"a"`
-	B     int64  `json:"b"`
-	C     int64  `json:"c"`
-	Eps   int64  `json:"eps"`
-	Cfg   int64  `json:"cfg"`
-	Scope string `json:"scope"`
-}
-
-func wireKey(k synth.Key) wireKeyT {
-	return wireKeyT{Gate: uint8(k.Gate), A: k.A, B: k.B, C: k.C, Eps: k.Eps, Cfg: k.Cfg, Scope: k.Scope}
-}
-
-func (wk wireKeyT) key() synth.Key {
-	return synth.Key{Gate: circuit.GateType(wk.Gate), A: wk.A, B: wk.B, C: wk.C, Eps: wk.Eps, Cfg: wk.Cfg, Scope: wk.Scope}
-}
-
-// wireEntry carries one cache entry; the sequence travels as the same
-// space-separated mnemonics the snapshot format uses.
-type wireEntry struct {
-	Seq     string  `json:"seq"`
-	Err     float64 `json:"err"`
-	Backend string  `json:"backend,omitempty"`
-}
-
-func newWireEntry(e synth.Entry) wireEntry {
-	return wireEntry{Seq: e.Seq.String(), Err: e.Err, Backend: e.Backend}
-}
-
-func (we wireEntry) entry() (synth.Entry, error) {
-	seq, err := gates.Parse(we.Seq)
-	if err != nil {
-		return synth.Entry{}, fmt.Errorf("cluster: bad wire sequence: %w", err)
-	}
-	return synth.Entry{Seq: seq, Err: we.Err, Backend: we.Backend}, nil
-}
-
-type wirePut struct {
-	Key   wireKeyT  `json:"key"`
-	Entry wireEntry `json:"entry"`
 }
 
 // keyQuery encodes k as URL query parameters.

@@ -2,10 +2,12 @@ package synth
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/circuit"
 	"repro/internal/gates"
@@ -22,14 +24,17 @@ const SnapshotVersion = 1
 // are process statistics and are deliberately not persisted — a restarted
 // daemon starts its accounting at zero with a warm entry set.
 type snapshotFile struct {
-	Version int             `json:"version"`
-	Entries []snapshotEntry `json:"entries"`
+	Version int      `json:"version"`
+	Entries []Record `json:"entries"`
 }
 
-// snapshotEntry flattens one (Key, Entry) pair. The gate sequence is
-// stored as space-separated mnemonics (gates.Sequence.String), the one
-// stable, human-auditable spelling the gates package already round-trips.
-type snapshotEntry struct {
+// Record is one (Key, Entry) pair as it travels outside the process: an
+// element of a snapshot file, and so also of a cluster peer's seed stream
+// and owner push (both snapshots), and a peer's answer to a one-key
+// lookup. The gate sequence is stored as space-separated mnemonics
+// (gates.Sequence.String), the one stable, human-auditable spelling the
+// gates package already round-trips.
+type Record struct {
 	Gate    uint8   `json:"gate"`
 	A       int64   `json:"a"`
 	B       int64   `json:"b,omitempty"`
@@ -40,6 +45,56 @@ type snapshotEntry struct {
 	Seq     string  `json:"seq"`
 	Err     float64 `json:"err"`
 	Backend string  `json:"backend,omitempty"`
+}
+
+// NewRecord flattens k → e.
+func NewRecord(k Key, e Entry) Record {
+	return Record{
+		Gate:    uint8(k.Gate),
+		A:       k.A,
+		B:       k.B,
+		C:       k.C,
+		Eps:     k.Eps,
+		Cfg:     k.Cfg,
+		Scope:   k.Scope,
+		Seq:     e.Seq.String(),
+		Err:     e.Err,
+		Backend: e.Backend,
+	}
+}
+
+// Decode is the one place an entry from outside the process becomes a
+// cache entry. It refuses a record whose sequence does not parse, and one
+// with no sequence at all: Sequence.String spells the empty sequence "I",
+// so a blank seq is a truncated or foreign record, and storing it would
+// serve the identity as the answer for its rotation.
+func (r Record) Decode() (Key, Entry, error) {
+	if strings.TrimSpace(r.Seq) == "" {
+		return Key{}, Entry{}, errors.New("record has no seq")
+	}
+	seq, err := gates.Parse(r.Seq)
+	if err != nil {
+		return Key{}, Entry{}, fmt.Errorf("record seq: %w", err)
+	}
+	k := Key{
+		Gate:  circuit.GateType(r.Gate),
+		A:     r.A,
+		B:     r.B,
+		C:     r.C,
+		Eps:   r.Eps,
+		Cfg:   r.Cfg,
+		Scope: r.Scope,
+	}
+	return k, Entry{Seq: seq, Err: r.Err, Backend: r.Backend}, nil
+}
+
+// WriteSnapshot writes recs, in order, as a versioned snapshot — the
+// format Cache.Snapshot persists and Cache.LoadSnapshot reads back.
+func WriteSnapshot(w io.Writer, recs []Record) error {
+	if err := json.NewEncoder(w).Encode(snapshotFile{Version: SnapshotVersion, Entries: recs}); err != nil {
+		return fmt.Errorf("synth: encoding snapshot: %w", err)
+	}
+	return nil
 }
 
 // Snapshot writes the cache's live entries to w as versioned JSON — the
@@ -54,87 +109,64 @@ type snapshotEntry struct {
 // reflects some interleaving of them.
 func (c *Cache) Snapshot(w io.Writer) error {
 	// Collect each shard LRU→MRU, then interleave by recency rank.
-	perShard := make([][]snapshotEntry, len(c.shards))
+	perShard := make([][]Record, len(c.shards))
 	maxLen := 0
 	for i, s := range c.shards {
 		s.mu.Lock()
 		for el := s.ll.Back(); el != nil; el = el.Prev() {
 			n := el.Value.(*cacheNode)
-			perShard[i] = append(perShard[i], snapshotEntry{
-				Gate:    uint8(n.k.Gate),
-				A:       n.k.A,
-				B:       n.k.B,
-				C:       n.k.C,
-				Eps:     n.k.Eps,
-				Cfg:     n.k.Cfg,
-				Scope:   n.k.Scope,
-				Seq:     n.e.Seq.String(),
-				Err:     n.e.Err,
-				Backend: n.e.Backend,
-			})
+			perShard[i] = append(perShard[i], NewRecord(n.k, n.e))
 		}
 		s.mu.Unlock()
 		if len(perShard[i]) > maxLen {
 			maxLen = len(perShard[i])
 		}
 	}
-	sf := snapshotFile{Version: SnapshotVersion}
+	var recs []Record
 	// Rank r of every shard before rank r+1 of any; shards shorter than
 	// maxLen pad from the cold end (their entries are all relatively hot).
 	for r := 0; r < maxLen; r++ {
 		for i := range perShard {
 			if off := len(perShard[i]) - maxLen + r; off >= 0 {
-				sf.Entries = append(sf.Entries, perShard[i][off])
+				recs = append(recs, perShard[i][off])
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(sf); err != nil {
-		return fmt.Errorf("synth: encoding snapshot: %w", err)
-	}
-	return nil
+	return WriteSnapshot(w, recs)
 }
 
-// LoadSnapshot merges a snapshot written by Snapshot into the cache,
+// LoadSnapshot merges a snapshot written by WriteSnapshot into the cache,
 // returning the number of entries loaded. Entries are replayed in file
 // order as ordinary Puts, so recency is reconstructed and a snapshot
 // larger than the cache's capacity keeps its most-recently-used tail.
-// Counters are unaffected: loading is not a lookup. A malformed file or an
-// unknown format version is an error and loads nothing.
+// They are stored quietly: entries that came from outside (a prior run, a
+// peer's seed stream or owner push) are never re-published through a peer
+// fill hook. Counters are unaffected: loading is not a lookup. A malformed
+// file, an unknown format version or any record Decode refuses is an error
+// and loads nothing.
 func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 	var sf snapshotFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&sf); err != nil {
+	if err := json.NewDecoder(r).Decode(&sf); err != nil {
 		return 0, fmt.Errorf("synth: decoding snapshot: %w", err)
 	}
 	if sf.Version != SnapshotVersion {
 		return 0, fmt.Errorf("synth: snapshot version %d, want %d", sf.Version, SnapshotVersion)
 	}
-	// Validate every entry before inserting any, so a corrupt file really
+	// Decode every record before inserting any, so a corrupt file really
 	// does load nothing rather than leaving a partial entry set behind.
-	seqs := make([]gates.Sequence, len(sf.Entries))
-	for i, se := range sf.Entries {
-		seq, err := gates.Parse(se.Seq)
+	keys := make([]Key, len(sf.Entries))
+	entries := make([]Entry, len(sf.Entries))
+	for i, rec := range sf.Entries {
+		k, e, err := rec.Decode()
 		if err != nil {
 			return 0, fmt.Errorf("synth: snapshot entry %d: %w", i, err)
 		}
-		seqs[i] = seq
+		keys[i], entries[i] = k, e
 	}
-	for i, se := range sf.Entries {
-		k := Key{
-			Gate:  circuit.GateType(se.Gate),
-			A:     se.A,
-			B:     se.B,
-			C:     se.C,
-			Eps:   se.Eps,
-			Cfg:   se.Cfg,
-			Scope: se.Scope,
-		}
-		// putQuiet: snapshot entries came from the tier (a prior run or a
-		// peer), so they must not be re-published through a peer fill hook.
-		c.putQuiet(k, Entry{Seq: seqs[i], Err: se.Err, Backend: se.Backend})
+	for i, k := range keys {
+		c.putQuiet(k, entries[i])
 	}
-	return len(sf.Entries), nil
+	return len(keys), nil
 }
 
 // SaveFile atomically writes the snapshot to path: the JSON is staged in a

@@ -41,7 +41,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d entries, Len %d, want 10", n, dst.Len())
 	}
 	for i := 0; i < 10; i++ {
-		e, ok := dst.peek(snapKey(i))
+		e, ok := dst.Peek(snapKey(i))
 		if !ok {
 			t.Fatalf("entry %d missing after reload", i)
 		}
@@ -75,10 +75,10 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 	if dst.Len() != 4 {
 		t.Fatalf("Len %d after loading 8 entries into capacity 4", dst.Len())
 	}
-	if _, ok := dst.peek(snapKey(0)); !ok {
+	if _, ok := dst.Peek(snapKey(0)); !ok {
 		t.Fatal("most-recently-used entry lost on reload into smaller cache")
 	}
-	if _, ok := dst.peek(snapKey(1)); ok {
+	if _, ok := dst.Peek(snapKey(1)); ok {
 		t.Fatal("least-recently-used entry survived reload into smaller cache")
 	}
 }
@@ -104,7 +104,7 @@ func TestSnapshotShardedRecency(t *testing.T) {
 	if dst.Len() != 32 {
 		t.Fatalf("Len %d, want 32", dst.Len())
 	}
-	if _, ok := dst.peek(snapKey(7)); !ok {
+	if _, ok := dst.Peek(snapKey(7)); !ok {
 		t.Fatal("hottest entry lost reloading a 16-shard snapshot into a 32-entry cache")
 	}
 }
@@ -122,6 +122,12 @@ func TestSnapshotVersionAndCorruption(t *testing.T) {
 	}
 	if _, err := c.LoadSnapshot(strings.NewReader(`{nope`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+	// An entry without seq would load as the identity for its rotation
+	// (the empty sequence is spelled "I", never "").
+	noSeq := `{"version": 1, "entries": [{"scope": "s", "seq": "H T"}, {"gate": 3, "a": 123, "eps": 1000, "cfg": 7, "scope": "gridsynth", "err": 0.001}]}`
+	if _, err := c.LoadSnapshot(strings.NewReader(noSeq)); err == nil {
+		t.Fatal("snapshot entry without seq accepted")
 	}
 	// A bad entry after good ones must not leave a partial load behind.
 	mixed := `{"version": 1, "entries": [{"scope": "s", "seq": "H T"}, {"scope": "s", "a": 1, "seq": "NOTAGATE"}]}`
@@ -156,7 +162,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if n, err := dst.LoadFile(path); err != nil || n != 1 {
 		t.Fatalf("LoadFile = (%d, %v), want (1, nil)", n, err)
 	}
-	if e, ok := dst.peek(snapKey(1)); !ok || e.Backend != "trasyn" {
+	if e, ok := dst.Peek(snapKey(1)); !ok || e.Backend != "trasyn" {
 		t.Fatalf("entry missing or corrupted after file round-trip: %+v", e)
 	}
 
