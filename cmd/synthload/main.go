@@ -1,10 +1,10 @@
 // Command synthload is the cluster load generator: it drives one or more
 // synthd nodes at a target request rate with rotation batches drawn from
 // the circuit/gen workload corpus, measures per-request latency
-// client-side, and appends the run — p50/p99, hit rate, throttle and
-// error counts (with a per-status-code breakdown, and transport-level
-// failures tallied separately), machine info — as a dated entry to
-// BENCH_serve.json.
+// client-side, and prints the run's summary — request, throttle,
+// rejection and error counts (with a per-status-code breakdown, and
+// transport-level failures tallied separately), hit rate, p50/p95/p99
+// latency and achieved rate — as one JSON object on stdout.
 //
 // Arrivals are open-loop: requests launch on the offered schedule
 // (start + i/rps) regardless of how many are still outstanding, so a
@@ -19,12 +19,13 @@
 //	synthload -targets http://127.0.0.1:8077 -rps 25 -duration 10s
 //	synthload -targets http://n1:8077,http://n2:8077,http://n3:8077 \
 //	          -rps 25 -duration 30s -eps 1e-2 -backend gridsynth \
-//	          -tenant bench -retries 0 -label 3-node -out BENCH_serve.json
+//	          -tenant bench -retries 0 > summary.json
 //
 // The workload is deterministic: the angle pool is extracted from
 // circuit/gen QAOA circuits at fixed seeds, and requests walk the pool
 // round-robin, so a run longer than one pool lap is exactly the repeated
-// workload a warm cache should absorb.
+// workload a warm cache should absorb. Recorded, comparable measurements
+// come from cmd/bench, whose serve_mix workload runs a cluster in-process.
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,86 +56,26 @@ type result struct {
 	misses    int64
 }
 
-type entry struct {
-	Date     string  `json:"date"`
-	Label    string  `json:"label"`
-	Targets  int     `json:"targets"`
-	Backend  string  `json:"backend"`
-	Eps      float64 `json:"eps"`
-	RPS      float64 `json:"offered_rps"`
-	Duration string  `json:"duration"`
-	Batch    int     `json:"batch"`
-	Angles   int     `json:"angle_pool"`
-
-	Requests  int     `json:"requests"`
-	OK        int     `json:"ok"`
-	Throttled int     `json:"throttled"`
-	Rejected  int     `json:"rejected"`
-	Errors    int     `json:"errors"`
-	ErrorRate float64 `json:"error_rate"`
-	HitRate   float64 `json:"hit_rate"`
-
+// summary is the run's one JSON line on stdout.
+type summary struct {
+	Requests  int `json:"requests"`
+	OK        int `json:"ok"`
+	Throttled int `json:"throttled"`
+	Rejected  int `json:"rejected"`
+	Errors    int `json:"errors"`
 	// TransportErrors are failures that never produced an HTTP status —
 	// refused/reset connections, timeouts — i.e. a dead or unreachable
 	// node, as distinct from a node that answered with a rejection.
 	// ByCode counts every non-200 HTTP status the run saw ("429", "503",
 	// "500", …), so a chaos run can bound specific failure classes.
 	TransportErrors int            `json:"transport_errors"`
-	ByCode          map[string]int `json:"by_code,omitempty"`
-
-	P50Ms      float64 `json:"p50_ms"`
-	P95Ms      float64 `json:"p95_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	MeanMs     float64 `json:"mean_ms"`
-	AchievedR  float64 `json:"achieved_rps"`
-	Machine    machine `json:"machine"`
-	Note       string  `json:"note,omitempty"`
-	TenantsRun string  `json:"tenant,omitempty"`
-
-	// Backends is the server-side attribution scraped from /v1/stats
-	// after the run (federated when multiple targets were driven): which
-	// backend actually served each (ε-band, class) cell and at what
-	// latency quantiles — numbers client-side timing cannot see.
-	Backends []backendStat `json:"backends,omitempty"`
-}
-
-// backendStat is one /v1/stats cell flattened for the bench record.
-type backendStat struct {
-	Backend     string  `json:"backend"`
-	EpsBand     string  `json:"eps_band"`
-	Class       string  `json:"class"`
-	Count       int64   `json:"count"`
-	CacheHits   int64   `json:"cache_hits"`
-	Synthesized int64   `json:"synthesized"`
-	Wins        int64   `json:"wins"`
-	Losses      int64   `json:"losses"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-}
-
-type machine struct {
-	NProc      int    `json:"nproc"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	GoVersion  string `json:"go_version"`
-}
-
-type report struct {
-	Benchmark   string  `json:"benchmark"`
-	Description string  `json:"description"`
-	Entries     []entry `json:"entries"`
-}
-
-func newReport() *report {
-	return &report{
-		Benchmark: "synthload",
-		Description: "Open-loop load generation against synthd (1..N nodes, round-robin): " +
-			"rotation batches from the circuit/gen QAOA corpus at a fixed offered RPS; " +
-			"client-side p50/p95/p99 latency, cluster-wide cache hit rate, and " +
-			"throttle (429) / rejection (503) / error counts.",
-	}
+	ByCode          map[string]int `json:"by_code"`
+	ErrorRate       float64        `json:"error_rate"`
+	HitRate         float64        `json:"hit_rate"`
+	P50Ms           float64        `json:"p50_ms"`
+	P95Ms           float64        `json:"p95_ms"`
+	P99Ms           float64        `json:"p99_ms"`
+	AchievedRPS     float64        `json:"achieved_rps"`
 }
 
 func main() {
@@ -151,9 +91,6 @@ func main() {
 		tenant    = flag.String("tenant", "", "X-Tenant header value (empty = anonymous)")
 		retries   = flag.Int("retries", 0, "client retries on 429/503 (0 = measure raw rejections)")
 		reqTO     = flag.Duration("req-timeout", 30*time.Second, "per-request deadline")
-		label     = flag.String("label", "", "entry label for BENCH_serve.json (e.g. 1-node, 3-node)")
-		note      = flag.String("note", "", "free-form note stored with the entry")
-		out       = flag.String("out", "BENCH_serve.json", "report path, appended to if it exists (empty = don't record)")
 		warmWaves = flag.Int("warm-waves", 0, "closed-loop laps over the angle pool before the timed window (pre-warms the cluster)")
 	)
 	flag.Parse()
@@ -254,87 +191,9 @@ func main() {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	ent := summarize(results, elapsed)
-	ent.Date = time.Now().UTC().Format("2006-01-02")
-	ent.Label = *label
-	ent.Targets = len(urls)
-	ent.Backend = *backend
-	ent.Eps = *eps
-	ent.RPS = *rps
-	ent.Duration = duration.String()
-	ent.Batch = *batch
-	ent.Angles = len(pool)
-	ent.Note = *note
-	ent.TenantsRun = *tenant
-	ent.Machine = machine{
-		NProc:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-	}
-
-	// Server-side backend attribution: scrape /v1/stats from the first
-	// target (federated when the run drove several — any cluster member
-	// answers for the fleet). Best effort: a daemon predating the endpoint
-	// costs the table, not the run.
-	sctx, scancel := context.WithTimeout(ctx, *reqTO)
-	if stats, err := clients[0].Stats(sctx, len(urls) > 1); err != nil {
-		fmt.Fprintf(os.Stderr, "synthload: scraping /v1/stats: %v (skipping backend table)\n", err)
-	} else {
-		for _, c := range stats.Fleet.Cells {
-			ent.Backends = append(ent.Backends, backendStat{
-				Backend: c.Backend, EpsBand: c.EpsBand, Class: c.Class,
-				Count: c.Count, CacheHits: c.CacheHits, Synthesized: c.Synthesized,
-				Wins: c.Wins, Losses: c.Losses,
-				P50Ms: c.P50Ms, P95Ms: c.P95Ms, P99Ms: c.P99Ms,
-			})
-		}
-	}
-	scancel()
-
-	fmt.Printf("synthload: %d req  ok=%d throttled=%d rejected=%d errors=%d (transport=%d)  "+
-		"p50=%.1fms p99=%.1fms  hit_rate=%.3f  achieved=%.1f rps\n",
-		ent.Requests, ent.OK, ent.Throttled, ent.Rejected, ent.Errors, ent.TransportErrors,
-		ent.P50Ms, ent.P99Ms, ent.HitRate, ent.AchievedR)
-	if len(ent.ByCode) > 0 {
-		codes := make([]string, 0, len(ent.ByCode))
-		for c := range ent.ByCode {
-			codes = append(codes, c)
-		}
-		sort.Strings(codes)
-		var parts []string
-		for _, c := range codes {
-			parts = append(parts, fmt.Sprintf("%s=%d", c, ent.ByCode[c]))
-		}
-		fmt.Printf("synthload:   by code: %s\n", strings.Join(parts, " "))
-	}
-	for _, b := range ent.Backends {
-		fmt.Printf("synthload:   %s %s/%s n=%d hits=%d synth=%d p50=%.2fms p95=%.2fms p99=%.2fms\n",
-			b.Backend, b.EpsBand, b.Class, b.Count, b.CacheHits, b.Synthesized,
-			b.P50Ms, b.P95Ms, b.P99Ms)
-	}
-
-	if *out == "" {
-		return
-	}
-	rep := newReport()
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			fatalf("%s exists but is not a synthload report: %v", *out, err)
-		}
-	}
-	rep.Entries = append(rep.Entries, ent)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := json.NewEncoder(os.Stdout).Encode(summarize(results, time.Since(start))); err != nil {
 		fatalf("%v", err)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("synthload: appended %q entry to %s\n", *label, *out)
 }
 
 // anglePool extracts n rotation angles from the deterministic QAOA
@@ -370,54 +229,48 @@ func anglePool(n int, seed int64) []float64 {
 	return pool
 }
 
-func summarize(results []result, elapsed time.Duration) entry {
-	var ent entry
+func summarize(results []result, elapsed time.Duration) summary {
+	sum := summary{ByCode: map[string]int{}}
 	var lats []float64
 	var hits, misses int64
-	var latSum float64
 	for _, r := range results {
-		ent.Requests++
+		sum.Requests++
 		switch r.status {
 		case "ok":
-			ent.OK++
+			sum.OK++
 			lats = append(lats, r.latencyMs)
-			latSum += r.latencyMs
 			hits += r.hits
 			misses += r.misses
 		case "throttled":
-			ent.Throttled++
+			sum.Throttled++
 		case "rejected":
-			ent.Rejected++
+			sum.Rejected++
 		default:
-			ent.Errors++
+			sum.Errors++
 			if r.code == 0 {
-				ent.TransportErrors++
+				sum.TransportErrors++
 			}
 		}
 		if r.code != 200 && r.code != 0 {
-			if ent.ByCode == nil {
-				ent.ByCode = map[string]int{}
-			}
-			ent.ByCode[strconv.Itoa(r.code)]++
+			sum.ByCode[strconv.Itoa(r.code)]++
 		}
 	}
-	if ent.Requests > 0 {
-		ent.ErrorRate = float64(ent.Errors) / float64(ent.Requests)
+	if sum.Requests > 0 {
+		sum.ErrorRate = float64(sum.Errors) / float64(sum.Requests)
 	}
 	if hits+misses > 0 {
-		ent.HitRate = float64(hits) / float64(hits+misses)
+		sum.HitRate = float64(hits) / float64(hits+misses)
 	}
 	if len(lats) > 0 {
 		sort.Float64s(lats)
-		ent.P50Ms = percentile(lats, 0.50)
-		ent.P95Ms = percentile(lats, 0.95)
-		ent.P99Ms = percentile(lats, 0.99)
-		ent.MeanMs = latSum / float64(len(lats))
+		sum.P50Ms = percentile(lats, 0.50)
+		sum.P95Ms = percentile(lats, 0.95)
+		sum.P99Ms = percentile(lats, 0.99)
 	}
 	if elapsed > 0 {
-		ent.AchievedR = float64(ent.Requests) / elapsed.Seconds()
+		sum.AchievedRPS = float64(sum.Requests) / elapsed.Seconds()
 	}
-	return ent
+	return sum
 }
 
 // percentile reads the p-quantile from sorted latencies (nearest rank).
