@@ -309,14 +309,15 @@ func (n *Node) call(ctx context.Context, sp *trace.Span, id, op string, timeout 
 		return errBreakerOpen
 	}
 	err = n.send(req, id, op, read)
+	healthy := err == nil || errors.Is(err, errNotFound)
 	if br != nil {
-		if err == nil || err == errNotFound {
+		if healthy {
 			br.Success()
 		} else {
 			br.Failure(time.Now())
 		}
 	}
-	if err != nil && err != errNotFound {
+	if !healthy {
 		sp.SetAttr("error", err.Error())
 	}
 	return err
@@ -458,12 +459,12 @@ func (n *Node) lookup(ctx context.Context, k synth.Key) (synth.Entry, bool) {
 			e = ent
 			return err
 		})
-	switch err {
-	case nil:
+	switch {
+	case err == nil:
 		n.peerHits.Add(1)
-	case errNotFound:
+	case errors.Is(err, errNotFound):
 		n.peerMisses.Add(1)
-	case errBreakerOpen:
+	case errors.Is(err, errBreakerOpen):
 	default:
 		n.peerErrors.Add(1)
 	}
@@ -499,7 +500,7 @@ func (n *Node) fill(ctx context.Context, k synth.Key, e synth.Entry) {
 		if err == nil {
 			err = n.call(context.Background(), sp, owner, "push", n.cfg.PushTimeout, http.MethodPut, "/v1/peer/cache", body.Bytes(), nil)
 		}
-		if err != errBreakerOpen {
+		if !errors.Is(err, errBreakerOpen) {
 			n.pushes.Add(1)
 			if err != nil {
 				n.pushErrors.Add(1)
