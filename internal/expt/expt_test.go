@@ -2,8 +2,11 @@ package expt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -24,9 +27,58 @@ func tiny(t *testing.T) Config {
 	}
 }
 
+// rowPins holds, per experiment, the sha256 of its table's pinned rows at
+// the tiny configuration (see pinnedRows), so a change that moves any
+// figure shows. A rerun at the same seed must reproduce these exactly.
+var rowPins = map[string]string{
+	"fig2":  "339c3ae61db8e500ed608644ca8d9f7588320ad169178c3c2374f98518d0f792",
+	"fig3b": "92bb73d99bad44f21974456251218aacc74d9f59d43e83f82bf93d83c31f7175",
+	"fig6":  "5ec512bf4b49512bc9ecad13bbfb3ff2ec543e0a9f6c4b3b33ae0032a2fb8b58",
+	"fig7":  "cbad8ca77da1539c7ba73e0075d3846676837bb1b5116454d2f8d1a963b52bdb",
+	"fig9":  "234411ff81d012e74b66f35f98d04093ca03842c3d02d4d77d0bb8239f6c98ca",
+	"tab2":  "2d38675b8159c12656b31dcaaad033dc7b1902db904cf3799c106786388b10c8",
+	"fig10": "264355b4a7777cb33659fa56e502fe782a822f09ffbb3e91c86495f57f67daf4",
+	"fig11": "cbeb6dcdad9e2de744ba43db389e93bfe7fc2c1f37af0b7f0c5806d02cb55d0f",
+	"fig12": "ccb81e41089a9032ea0815e098b82bf550ff83619739f9f54aa1b1297c483dec",
+	"fig13": "3c96c105fa2cc3cba165b8dca601d67fc25961e392f1e6a239d77ed2609740b2",
+	"fig14": "a5c9ed19db1010f1fa7ce2ee74bc3701f27a308ab54c5f5feef8e87368bdec11",
+}
+
+// pinnedRows returns the table's rows that repeat exactly from run to
+// run, sorted (a table's row order may follow goroutine completion).
+// Skipped:
+//   - rows that read a wall clock: all of fig8, and fig7's
+//     "synthetiq-like" rows (the annealer runs on a 400 ms budget);
+//   - rows that sum floats in goroutine completion order: fig7's MEAN
+//     rows and all of tab1.
+func pinnedRows(id string, rows [][]string) []string {
+	if id == "fig8" || id == "tab1" {
+		return nil
+	}
+	var out []string
+	for _, r := range rows {
+		if id == "fig7" && (r[0] == "synthetiq-like" || strings.HasPrefix(r[0], "MEAN/")) {
+			continue
+		}
+		out = append(out, strings.Join(r, "\t"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// rowsHash is the hex sha256 of the pinned rows, one per line.
+func rowsHash(rows []string) string {
+	h := sha256.New()
+	for _, r := range rows {
+		h.Write([]byte(r + "\n"))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestAllExperimentsRun: every registered experiment must produce a
-// non-empty table at miniature scale. This is the end-to-end smoke test of
-// the whole reproduction pipeline.
+// non-empty table at miniature scale, and its pinned rows must hash to
+// the recorded value. This is the end-to-end smoke test of the whole
+// reproduction pipeline.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive end-to-end test")
@@ -46,6 +98,14 @@ func TestAllExperimentsRun(t *testing.T) {
 			tab.Print(&buf)
 			if !strings.Contains(buf.String(), e.ID) {
 				t.Fatalf("%s print output missing id", e.ID)
+			}
+			rows := pinnedRows(e.ID, tab.Rows)
+			if len(rows) == 0 {
+				return
+			}
+			if got, want := rowsHash(rows), rowPins[e.ID]; got != want {
+				t.Errorf("%s: pinned rows hash %s, recorded %s; rows:\n%s",
+					e.ID, got, want, strings.Join(rows, "\n"))
 			}
 		})
 	}
