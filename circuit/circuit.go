@@ -65,9 +65,6 @@ func (g GateType) IsTwoQubit() bool { return g == CX || g == CZ || g == SWAP }
 // IsRotation reports whether g carries a continuous angle parameter.
 func (g GateType) IsRotation() bool { return g == RX || g == RY || g == RZ || g == U3 }
 
-// IsPauli reports whether g ∈ {I, X, Y, Z}.
-func (g GateType) IsPauli() bool { return g <= Z }
-
 // IsDiscrete1Q reports whether g is a parameter-free single-qubit gate.
 func (g GateType) IsDiscrete1Q() bool { return g <= Tdg }
 

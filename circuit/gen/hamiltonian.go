@@ -26,23 +26,6 @@ func NewTerm(coeff float64, ops map[int]Pauli) PauliTerm {
 	return PauliTerm{Coeff: coeff, Ops: ops}
 }
 
-// ParseTerm builds a term from a string like "XZY" acting on qubits
-// offset, offset+1, … (identity letters skipped).
-func ParseTerm(coeff float64, s string, offset int) PauliTerm {
-	ops := map[int]Pauli{}
-	for i, ch := range s {
-		switch ch {
-		case 'X':
-			ops[offset+i] = PX
-		case 'Y':
-			ops[offset+i] = PY
-		case 'Z':
-			ops[offset+i] = PZ
-		}
-	}
-	return PauliTerm{Coeff: coeff, Ops: ops}
-}
-
 // Hamiltonian is a sum of Pauli terms on N qubits.
 type Hamiltonian struct {
 	N     int

@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/gates"
 	"repro/internal/mps"
@@ -160,7 +159,7 @@ func fill(cfg Config) Config {
 	return cfg
 }
 
-// search is one Synthesize, TRASYN or Candidates call: its configuration
+// search is one Synthesize or TRASYN call: its configuration
 // and the per-site candidate lists its attempts share. Site i draws from
 // the enumerated operators with T count ≤ Budgets[i]; each list is
 // collected on first use, once per call, and sites with equal budgets
@@ -232,36 +231,6 @@ func (s *search) attempt(u qmat.M2, n int) Result {
 		}
 	}
 	return best
-}
-
-// Candidates returns up to cfg.KeepBest distinct post-processed
-// approximations of u, best error first — the raw material for ensemble
-// techniques such as probabilistic mixing (paper §5), which consume several
-// nearby approximations rather than a single winner.
-func Candidates(u qmat.M2, cfg Config) []Result {
-	cfg = fill(cfg)
-	s := &search{cfg: cfg}
-	n := len(cfg.Budgets)
-	top := topByTrace(s.sample(u, n), cfg.KeepBest)
-	out := make([]Result, 0, len(top))
-	seen := map[string]bool{}
-	for _, smp := range top {
-		seq := s.sequence(smp)
-		key := seq.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, Result{
-			Seq:      seq,
-			Error:    qmat.DistanceFromTrace(smp.Trace),
-			TCount:   seq.TCount(),
-			Clifford: seq.CliffordCount(),
-			Sites:    n,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Error < out[j].Error })
-	return out
 }
 
 // topByTrace selects up to n samples with the largest |trace| (selection

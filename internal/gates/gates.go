@@ -41,9 +41,6 @@ func (g Gate) String() string {
 	return fmt.Sprintf("Gate(%d)", uint8(g))
 }
 
-// IsPauli reports whether g ∈ {I, X, Y, Z}.
-func (g Gate) IsPauli() bool { return g <= Z }
-
 // IsT reports whether g consumes a magic state (T or T†).
 func (g Gate) IsT() bool { return g == T || g == Tdg }
 

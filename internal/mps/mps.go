@@ -143,12 +143,6 @@ func (c *Chain) canonicalize() {
 	c.norm2 = n
 }
 
-// NumSites returns the chain length.
-func (c *Chain) NumSites() int { return len(c.sites) }
-
-// SiteDim returns the physical dimension of site i.
-func (c *Chain) SiteDim(i int) int { return c.sites[i].m }
-
 // Norm2 returns Σ |trace value|² over all configurations.
 func (c *Chain) Norm2() float64 { return c.norm2 }
 

@@ -134,22 +134,6 @@ func Scale4(s complex128, a M4) M4 {
 	return a
 }
 
-// Add4 returns a+b.
-func Add4(a, b M4) M4 {
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			a[i][j] += b[i][j]
-		}
-	}
-	return a
-}
-
-// Sub4 returns a−b.
-func Sub4(a, b M4) M4 { return Add4(a, Scale4(-1, b)) }
-
-// Trace4 returns Tr(a).
-func Trace4(a M4) complex128 { return a[0][0] + a[1][1] + a[2][2] + a[3][3] }
-
 // Det4 returns det(a) by cofactor expansion along the first row.
 func Det4(a M4) complex128 {
 	det3 := func(m [3][3]complex128) complex128 {

@@ -173,13 +173,6 @@ func NewBOmega(a, b, c, d int64) BOmega {
 // BOmegaFromZOmega lifts an int64-coefficient element.
 func BOmegaFromZOmega(z ZOmega) BOmega { return NewBOmega(z.A, z.B, z.C, z.D) }
 
-// BOmegaFromBSqrt2 embeds x = a + b√2 (√2 = ω − ω³).
-func BOmegaFromBSqrt2(x BSqrt2) BOmega {
-	var z BOmega
-	z.SetBSqrt2(x)
-	return z
-}
-
 // BOmegaFromInt returns the rational integer n.
 func BOmegaFromInt(n int64) BOmega { return NewBOmega(n, 0, 0, 0) }
 

@@ -48,9 +48,6 @@ func (x *BSqrt2) SetInt64(a, b int64) {
 	x.B.SetInt64(b)
 }
 
-// SetZSqrt2 lifts an int64-coefficient element into x.
-func (x *BSqrt2) SetZSqrt2(y ZSqrt2) { x.SetInt64(y.A, y.B) }
-
 // AddTo sets x = y + z.
 func (x *BSqrt2) AddTo(y, z BSqrt2) {
 	x.ensure()

@@ -174,10 +174,6 @@ type Injector struct {
 	rules []*Rule
 }
 
-// NewInjector builds an injector from rules (tests compose rules in Go;
-// the daemon parses them from -fault-spec).
-func NewInjector(rules ...*Rule) *Injector { return &Injector{rules: rules} }
-
 // Rules exposes the rule list (for spec echo and tests).
 func (in *Injector) Rules() []*Rule {
 	if in == nil {
