@@ -17,7 +17,6 @@ import (
 	"repro/internal/gridsynth"
 	"repro/internal/qmat"
 	"repro/internal/sk"
-	"repro/synth/fault"
 	"repro/synth/trace"
 )
 
@@ -221,7 +220,9 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 			defer wg.Done()
 			rs := span.Child("race:" + be.Name())
 			start := time.Now()
-			r, err := race(trace.NewContext(ctx, rs), be, target, sub)
+			// A panicking racer just loses: it is reported Failed like
+			// any failing racer instead of killing the process.
+			r, err := contained(trace.NewContext(ctx, rs), "racer:"+be.Name(), be, target, sub)
 			o := SynthObservation{Backend: be.Name(), Epsilon: sub.eps(), Wall: time.Since(start), Failed: err != nil}
 			if err == nil {
 				o.TCount, o.ErrDist = r.TCount, r.Error
@@ -261,19 +262,6 @@ func (a autoBackend) Synthesize(ctx context.Context, target qmat.M2, req Request
 	}
 	span.SetAttr("auto_winner", best.Backend)
 	return best, nil
-}
-
-// race runs one racer under the race-boundary containment: the fault
-// injector's racer site fires first, and a panicking racer is recovered
-// into an error — it loses the race (reported Failed through the op's
-// observer like any failing racer) instead of killing the process.
-func race(ctx context.Context, be Backend, target qmat.M2, req Request) (res Result, err error) {
-	site := "racer:" + be.Name()
-	defer fault.Recover(ctx, site, &err)
-	if ferr := fault.At(ctx, site); ferr != nil {
-		return Result{}, ferr
-	}
-	return be.Synthesize(ctx, target, req)
 }
 
 // beats reports whether b strictly wins over a: meeting eps beats

@@ -302,7 +302,7 @@ func (c *Compiler) synthOne(ctx context.Context, j opJob) (Result, error) {
 			obs(o)
 		})
 	}
-	res, err := c.synthesizeContained(ctx, j.target, req)
+	res, err := contained(ctx, "backend:"+c.Backend.Name(), c.Backend, j.target, req)
 	o := SynthObservation{
 		Backend: res.Backend,
 		Epsilon: req.eps(),
@@ -324,18 +324,19 @@ func (c *Compiler) synthOne(ctx context.Context, j opJob) (Result, error) {
 	return res, err
 }
 
-// synthesizeContained is the backend call under the worker-boundary
-// containment: the fault injector's backend site fires first (the chaos
-// harness's hook), and a panic anywhere below — backend code, injected
-// or genuine — is recovered into a *fault.PanicError instead of killing
-// the worker goroutine and with it the process.
-func (c *Compiler) synthesizeContained(ctx context.Context, target qmat.M2, req Request) (res Result, err error) {
-	site := "backend:" + c.Backend.Name()
+// contained is one backend call under containment, at a fault site
+// named for its boundary: "backend:<name>" for the compiler's worker,
+// "racer:<name>" for one of auto's racers. The fault injector's site
+// fires first (the chaos harness's hook), and a panic anywhere below —
+// backend code, injected or genuine — is recovered into a
+// *fault.PanicError instead of killing the goroutine and with it the
+// process.
+func contained(ctx context.Context, site string, be Backend, target qmat.M2, req Request) (res Result, err error) {
 	defer fault.Recover(ctx, site, &err)
 	if ferr := fault.At(ctx, site); ferr != nil {
 		return Result{}, ferr
 	}
-	return c.Backend.Synthesize(ctx, target, req)
+	return be.Synthesize(ctx, target, req)
 }
 
 // ObsClasses is the bounded angle-class vocabulary statistics are keyed

@@ -354,8 +354,8 @@ func (e *PanicError) Error() string {
 // deferred, directly, at every goroutine boundary that must survive its
 // callees:
 //
-//	func (c *Compiler) synthesizeContained(ctx ...) (res Result, err error) {
-//		defer fault.Recover(ctx, "backend:"+c.Backend.Name(), &err)
+//	func contained(ctx context.Context, site string, ...) (res Result, err error) {
+//		defer fault.Recover(ctx, site, &err)
 //		...
 //	}
 //
