@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"repro/synth"
 )
 
 // SnapshotVersion is the statistics snapshot format version. A mismatch
@@ -102,29 +103,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &sn, nil
 }
 
-// SaveFile atomically writes the table's snapshot to path (temp file,
-// fsync, rename) — the same durability discipline as the cache
-// snapshot, so a crash mid-save leaves the previous file intact.
+// SaveFile atomically writes the table's snapshot to path through
+// synth.WriteFileAtomic, the cache snapshot's writer, so a crash mid-save
+// leaves the previous file intact.
 func (s *Stats) SaveFile(path string) error {
-	sn := s.Snapshot()
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".stats-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := sn.Write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return synth.WriteFileAtomic(path, s.Snapshot().Write)
 }
 
 // LoadFile reads, validates and installs a snapshot file — all before

@@ -169,19 +169,24 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 	return len(keys), nil
 }
 
-// SaveFile atomically writes the snapshot to path: the JSON is staged in a
-// temporary file in the same directory, fsynced, and renamed into place,
-// so a crash mid-write never truncates an existing good snapshot (without
-// the fsync, delayed allocation could leave a zero-length file at path
-// after a power loss shortly post-rename).
-func (c *Cache) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// SaveFile atomically writes the snapshot to path (see WriteFileAtomic),
+// so a crash mid-write never truncates an existing good snapshot.
+func (c *Cache) SaveFile(path string) error { return WriteFileAtomic(path, c.Snapshot) }
+
+// WriteFileAtomic replaces the file at path with what write emits: the
+// bytes are staged in a temporary file in the same directory, fsynced,
+// and renamed into place (without the fsync, delayed allocation could
+// leave a zero-length file at path after a power loss shortly
+// post-rename). If write or any step fails, the file at path is left as
+// it was and the temporary file is removed. The cache snapshot and the
+// obs statistics sidecar both persist through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("synth: staging snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := c.Snapshot(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -2,7 +2,9 @@ package synth
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,6 +170,58 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 	if _, err := dst.LoadFile(filepath.Join(dir, "absent.json")); !os.IsNotExist(err) {
 		t.Fatalf("missing snapshot: want IsNotExist, got %v", err)
+	}
+}
+
+// TestWriteFileAtomicFailure: when the write callback fails partway, the
+// error comes back, the previous file stays byte-identical, an absent
+// file stays absent, and no temp file is left in the directory.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cache.json")
+	src := NewCache(16)
+	src.Put(snapKey(1), Entry{Seq: gates.Sequence{gates.H, gates.T}, Err: 1e-5, Backend: "trasyn"})
+	if err := src.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	failing := func(w io.Writer) error {
+		if _, err := w.Write([]byte(`{"version":1,"entries":[`)); err != nil {
+			return err
+		}
+		return boom
+	}
+	if err := WriteFileAtomic(path, failing); !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic = %v, want the callback's error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed write changed the file:\nbefore %q\nafter  %q", before, after)
+	}
+	absent := filepath.Join(dir, "absent.json")
+	if err := WriteFileAtomic(absent, failing); !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic = %v, want the callback's error", err)
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatalf("failed write created %s: %v", absent, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "cache.json" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only cache.json", names)
 	}
 }
 
