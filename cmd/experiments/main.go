@@ -6,8 +6,8 @@
 //	experiments -run fig7 [-n 100] [-samples 4000] [-maxt 10] [-out results/]
 //	experiments -run all -out results/
 //
-// Scale flags default to CPU-minutes sizes; EXPERIMENTS.md records both the
-// default-scale results and the paper's numbers.
+// Scale flags default to CPU-minutes sizes; each table's notes give the
+// paper's numbers next to the measured ones.
 package main
 
 import (

@@ -60,63 +60,55 @@ func runStudy(cfg Config, eps float64) []benchResult {
 	cfg = cfg.filled()
 	benches := selectBenchmarks(cfg.BenchLimit)
 	results := make([]benchResult, len(benches))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i, b := range benches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, b suite.Benchmark) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r := benchResult{bench: b}
-			defer func() { results[i] = r }()
-			r.u3IR, _ = transpile.BestSetting(b.Circuit, transpile.BasisU3)
-			r.rzIR, _ = transpile.BestSetting(b.Circuit, transpile.BasisRz)
-			// trasyn gets one extra tensor and a tighter stop threshold so
-			// its realized per-rotation error lands near gridsynth's
-			// (gridsynth over-delivers its threshold by ~2.5x on average;
-			// the paper's trasyn reports best-found rather than
-			// threshold-truncated solutions).
-			treq := synth.Request{
-				Epsilon: eps * 0.6, TBudget: cfg.MaxT, Tensors: cfg.Sites + 1,
-				Samples: cfg.Samples, Seed: synth.Seed(cfg.Seed + int64(i*31)),
-			}
-			// Per-circuit caches (seeds differ per circuit, so entries
-			// must not leak across circuits); repeated angles within a
-			// circuit synthesize once. Both workflows lower through a
-			// synthesis-only pipeline over their pre-transpiled IR.
-			cache := synth.NewCache(0)
-			tp, err := lowerOnly("trasyn", treq, cache)
-			if err != nil {
-				r.err = err
-				return
-			}
-			u3Res, err := tp.Run(context.Background(), r.u3IR)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.u3Out, r.u3Stats = u3Res.Circuit, u3Res.Stats
-			nU3 := r.u3IR.CountRotations()
-			nRz := r.rzIR.CountRotations()
-			epsRz := eps
-			if nRz > 0 && nU3 > 0 {
-				epsRz = eps * float64(nU3) / float64(nRz)
-			}
-			gp, err := lowerOnly("gridsynth", synth.Request{Epsilon: epsRz}, cache)
-			if err != nil {
-				r.err = err
-				return
-			}
-			rzRes, err := gp.Run(context.Background(), r.rzIR)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.rzOut, r.rzStats = rzRes.Circuit, rzRes.Stats
-		}(i, b)
-	}
-	wg.Wait()
+	parallel(len(benches), cfg.Workers, func(i int) {
+		b := benches[i]
+		r := benchResult{bench: b}
+		defer func() { results[i] = r }()
+		r.u3IR, _ = transpile.BestSetting(b.Circuit, transpile.BasisU3)
+		r.rzIR, _ = transpile.BestSetting(b.Circuit, transpile.BasisRz)
+		// trasyn gets one extra tensor and a tighter stop threshold so
+		// its realized per-rotation error lands near gridsynth's
+		// (gridsynth over-delivers its threshold by ~2.5x on average;
+		// the paper's trasyn reports best-found rather than
+		// threshold-truncated solutions).
+		treq := synth.Request{
+			Epsilon: eps * 0.6, TBudget: cfg.MaxT, Tensors: cfg.Sites + 1,
+			Samples: cfg.Samples, Seed: synth.Seed(cfg.Seed + int64(i*31)),
+		}
+		// Per-circuit caches (seeds differ per circuit, so entries
+		// must not leak across circuits); repeated angles within a
+		// circuit synthesize once. Both workflows lower through a
+		// synthesis-only pipeline over their pre-transpiled IR.
+		cache := synth.NewCache(0)
+		tp, err := lowerOnly("trasyn", treq, cache)
+		if err != nil {
+			r.err = err
+			return
+		}
+		u3Res, err := tp.Run(context.Background(), r.u3IR)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.u3Out, r.u3Stats = u3Res.Circuit, u3Res.Stats
+		nU3 := r.u3IR.CountRotations()
+		nRz := r.rzIR.CountRotations()
+		epsRz := eps
+		if nRz > 0 && nU3 > 0 {
+			epsRz = eps * float64(nU3) / float64(nRz)
+		}
+		gp, err := lowerOnly("gridsynth", synth.Request{Epsilon: epsRz}, cache)
+		if err != nil {
+			r.err = err
+			return
+		}
+		rzRes, err := gp.Run(context.Background(), r.rzIR)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.rzOut, r.rzStats = rzRes.Circuit, rzRes.Stats
+	})
 	return results
 }
 
@@ -155,40 +147,29 @@ func Fig3b(cfg Config) (*Table, error) {
 		Title:  "ratio of Rz-basis to U3-basis rotation counts after transpilation",
 		Header: []string{"benchmark", "category", "rz_rotations", "u3_rotations", "ratio"},
 	}
-	var ratios []float64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
 	type rowT struct {
 		b      suite.Benchmark
 		rz, u3 int
 		ratio  float64
 	}
 	rowsOut := make([]rowT, len(benches))
-	for i, b := range benches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, b suite.Benchmark) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			u3, _ := transpile.BestSetting(b.Circuit, transpile.BasisU3)
-			rz, _ := transpile.BestSetting(b.Circuit, transpile.BasisRz)
-			nU3, nRz := u3.CountRotations(), rz.CountRotations()
-			ratio := math.NaN()
-			if nU3 > 0 {
-				ratio = float64(nRz) / float64(nU3)
-			}
-			rowsOut[i] = rowT{b, nRz, nU3, ratio}
-			if !math.IsNaN(ratio) {
-				mu.Lock()
-				ratios = append(ratios, ratio)
-				mu.Unlock()
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	parallel(len(benches), cfg.Workers, func(i int) {
+		b := benches[i]
+		u3, _ := transpile.BestSetting(b.Circuit, transpile.BasisU3)
+		rz, _ := transpile.BestSetting(b.Circuit, transpile.BasisRz)
+		nU3, nRz := u3.CountRotations(), rz.CountRotations()
+		ratio := math.NaN()
+		if nU3 > 0 {
+			ratio = float64(nRz) / float64(nU3)
+		}
+		rowsOut[i] = rowT{b, nRz, nU3, ratio}
+	})
+	var ratios []float64
 	for _, r := range rowsOut {
 		t.Add(r.b.Name, string(r.b.Category), r.rz, r.u3, r.ratio)
+		if !math.IsNaN(r.ratio) {
+			ratios = append(ratios, r.ratio)
+		}
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("geomean ratio %.3f over %d circuits (values > 1 favor the U3 IR; paper shows up to 2.5x)",
@@ -200,35 +181,30 @@ func Fig3b(cfg Config) (*Table, error) {
 func Fig6(cfg Config) (*Table, error) {
 	cfg = cfg.filled()
 	benches := selectBenchmarks(0)
+	// wins[i] lists the settings that reach benches[i]'s fewest rotations.
+	wins := make([][]transpile.Setting, len(benches))
+	parallel(len(benches), cfg.Workers, func(i int) {
+		best := math.MaxInt32
+		vals := map[transpile.Setting]int{}
+		for _, s := range transpile.AllSettings() {
+			n := transpile.OptimizeWith(benches[i].Circuit, s).CountRotations()
+			vals[s] = n
+			if n < best {
+				best = n
+			}
+		}
+		for s, n := range vals {
+			if n == best {
+				wins[i] = append(wins[i], s)
+			}
+		}
+	})
 	counts := map[transpile.Setting]int{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for _, b := range benches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b suite.Benchmark) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			best := math.MaxInt32
-			vals := map[transpile.Setting]int{}
-			for _, s := range transpile.AllSettings() {
-				n := transpile.OptimizeWith(b.Circuit, s).CountRotations()
-				vals[s] = n
-				if n < best {
-					best = n
-				}
-			}
-			mu.Lock()
-			for s, n := range vals {
-				if n == best {
-					counts[s]++
-				}
-			}
-			mu.Unlock()
-		}(b)
+	for _, ws := range wins {
+		for _, s := range ws {
+			counts[s]++
+		}
 	}
-	wg.Wait()
 	t := &Table{
 		ID:     "fig6",
 		Title:  "instances where each transpilation setting achieves the fewest rotations",
@@ -386,52 +362,53 @@ func Fig12(cfg Config) (*Table, error) {
 		Title:  "trasyn vs BQSKit-style resynthesis + gridsynth",
 		Header: []string{"benchmark", "rot_ratio", "t_ratio"},
 	}
-	var rotRatios, tRatios []float64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	sem := make(chan struct{}, cfg.Workers)
+	var done []benchResult
 	for _, r := range results {
-		if r.err != nil || r.u3Out == nil {
+		if r.err == nil && r.u3Out != nil {
+			done = append(done, r)
+		}
+	}
+	type rowT struct {
+		ok     bool
+		rr, tr float64
+	}
+	rows := make([]rowT, len(done))
+	parallel(len(done), cfg.Workers, func(i int) {
+		r := done[i]
+		bq, err := optimize.ZXZXZ().Optimize(r.u3IR)
+		if err != nil {
+			return
+		}
+		nBq, nU3 := bq.CountRotations(), r.u3IR.CountRotations()
+		if nU3 == 0 {
+			return
+		}
+		epsRz := defaultCircuitEps * float64(nU3) / math.Max(1, float64(nBq))
+		gp, err := lowerOnly("gridsynth", synth.Request{Epsilon: epsRz}, synth.NewCache(0))
+		if err != nil {
+			return
+		}
+		lowRes, err := gp.Run(context.Background(), bq)
+		if err != nil {
+			return
+		}
+		tr := math.NaN()
+		if t := r.u3Out.TCount(); t > 0 {
+			tr = float64(lowRes.Circuit.TCount()) / float64(t)
+		}
+		rows[i] = rowT{true, float64(nBq) / float64(nU3), tr}
+	})
+	var rotRatios, tRatios []float64
+	for i, row := range rows {
+		if !row.ok {
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r benchResult) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			bq, err := optimize.ZXZXZ().Optimize(r.u3IR)
-			if err != nil {
-				return
-			}
-			nBq, nU3 := bq.CountRotations(), r.u3IR.CountRotations()
-			if nU3 == 0 {
-				return
-			}
-			epsRz := defaultCircuitEps * float64(nU3) / math.Max(1, float64(nBq))
-			gp, err := lowerOnly("gridsynth", synth.Request{Epsilon: epsRz}, synth.NewCache(0))
-			if err != nil {
-				return
-			}
-			lowRes, err := gp.Run(context.Background(), bq)
-			if err != nil {
-				return
-			}
-			low := lowRes.Circuit
-			mu.Lock()
-			defer mu.Unlock()
-			rr := float64(nBq) / float64(nU3)
-			tr := math.NaN()
-			if t := r.u3Out.TCount(); t > 0 {
-				tr = float64(low.TCount()) / float64(t)
-			}
-			rotRatios = append(rotRatios, rr)
-			if !math.IsNaN(tr) {
-				tRatios = append(tRatios, tr)
-			}
-			t.Add(r.bench.Name, rr, tr)
-		}(r)
+		rotRatios = append(rotRatios, row.rr)
+		if !math.IsNaN(row.tr) {
+			tRatios = append(tRatios, row.tr)
+		}
+		t.Add(done[i].bench.Name, row.rr, row.tr)
 	}
-	wg.Wait()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("geomean rotation ratio %.3f, T ratio %.3f (paper: BQSKit only increases rotations → more T)",
 			geomean(rotRatios), geomean(tRatios)))
@@ -494,36 +471,42 @@ func Fig14(cfg Config) (*Table, error) {
 		Title:  "trasyn:gridsynth ratios before and after post-optimization",
 		Header: []string{"benchmark", "t_ratio_before", "t_ratio_after", "cliff_ratio_before", "cliff_ratio_after"},
 	}
-	var before, after []float64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	sem := make(chan struct{}, cfg.Workers)
+	var done []benchResult
 	for _, r := range results {
-		if r.err != nil || r.u3Out == nil || r.rzOut == nil || r.u3Out.TCount() == 0 {
+		if r.err == nil && r.u3Out != nil && r.rzOut != nil && r.u3Out.TCount() > 0 {
+			done = append(done, r)
+		}
+	}
+	type rowT struct {
+		ok     bool
+		b, a   float64 // T ratio before and after
+		cb, ca float64 // Clifford ratio before and after
+	}
+	rows := make([]rowT, len(done))
+	parallel(len(done), cfg.Workers, func(i int) {
+		r := done[i]
+		u3Opt := postOpt(r.u3Out)
+		rzOpt := postOpt(r.rzOut)
+		if u3Opt.TCount() == 0 {
+			return
+		}
+		rows[i] = rowT{
+			ok: true,
+			b:  float64(r.rzOut.TCount()) / float64(r.u3Out.TCount()),
+			a:  float64(rzOpt.TCount()) / float64(u3Opt.TCount()),
+			cb: float64(r.rzOut.CliffordCount()) / math.Max(1, float64(r.u3Out.CliffordCount())),
+			ca: float64(rzOpt.CliffordCount()) / math.Max(1, float64(u3Opt.CliffordCount())),
+		}
+	})
+	var before, after []float64
+	for i, row := range rows {
+		if !row.ok {
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r benchResult) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			u3Opt := postOpt(r.u3Out)
-			rzOpt := postOpt(r.rzOut)
-			if u3Opt.TCount() == 0 {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			b := float64(r.rzOut.TCount()) / float64(r.u3Out.TCount())
-			a := float64(rzOpt.TCount()) / float64(u3Opt.TCount())
-			cb := float64(r.rzOut.CliffordCount()) / math.Max(1, float64(r.u3Out.CliffordCount()))
-			ca := float64(rzOpt.CliffordCount()) / math.Max(1, float64(u3Opt.CliffordCount()))
-			before = append(before, b)
-			after = append(after, a)
-			t.Add(r.bench.Name, b, a, cb, ca)
-		}(r)
+		before = append(before, row.b)
+		after = append(after, row.a)
+		t.Add(done[i].bench.Name, row.b, row.a, row.cb, row.ca)
 	}
-	wg.Wait()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("geomean T ratio before %.3f → after %.3f (paper: PyZX cannot reclaim the T advantage)",
 			geomean(before), geomean(after)))

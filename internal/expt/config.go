@@ -3,6 +3,7 @@ package expt
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gates"
@@ -74,4 +75,23 @@ func (c Config) trasynConfig(sites int, eps float64, seed int64) core.Config {
 	cfg.Epsilon = eps
 	cfg.Rng = rand.New(rand.NewSource(seed))
 	return cfg
+}
+
+// parallel runs fn(0), …, fn(n-1) on at most workers goroutines and
+// returns when all have finished. Callers write each result into its own
+// index's slot, so tables come out in input order whatever order the
+// goroutines finish in.
+func parallel(n, workers int, fn func(i int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(i)
+		}()
+	}
+	wg.Wait()
 }

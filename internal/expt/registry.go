@@ -20,7 +20,7 @@ func Registry() []Experiment {
 		{"fig3b", "Rz:U3 rotation-count ratio across the suite", Fig3b},
 		{"fig6", "best-transpile-setting histogram (16 settings)", Fig6},
 		{"fig7", "synthesis error vs T/Clifford count scatter (RQ1)", Fig7},
-		{"tab1", "T and Clifford reductions at eps 1e-3 (Table 1)", Tab1},
+		{"tab1", "T and Clifford reductions at matched error, and the error reached (Table 1)", Tab1},
 		{"fig8", "synthesis time comparison (RQ1)", Fig8},
 		{"fig9", "logical-vs-synthesis error tradeoff + sqrt fit (RQ2)", Fig9},
 		{"tab2", "benchmark dataset statistics (Table 2)", Tab2},

@@ -2,7 +2,7 @@
 // evaluation. Each experiment produces a Table (rows of the same series
 // the paper plots) that can be printed and/or written as CSV; scale knobs
 // in Config trade fidelity to the paper's sample sizes against CPU time.
-// See EXPERIMENTS.md for the paper-vs-measured record.
+// A table's notes give the paper's numbers next to the measured ones.
 package expt
 
 import (
