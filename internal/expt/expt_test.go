@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // tiny returns a configuration that keeps every experiment in test time.
@@ -109,6 +111,37 @@ func TestAllExperimentsRun(t *testing.T) {
 					e.ID, got, want, strings.Join(rows, "\n"))
 			}
 		})
+	}
+}
+
+// TestParallelBoundsWorkers: parallel runs every index exactly once, never
+// more than workers at a time, and returns only after all have finished.
+func TestParallelBoundsWorkers(t *testing.T) {
+	const n, workers = 200, 3
+	var running, peak atomic.Int32
+	ran := make([]int, n)
+	parallel(n, workers, func(i int) {
+		cur := running.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+		ran[i]++
+		running.Add(-1)
+	})
+	for i, c := range ran {
+		if c != 1 {
+			t.Fatalf("index %d ran %d times, want 1", i, c)
+		}
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d ran at once, want at most %d", p, workers)
+	}
+	if r := running.Load(); r != 0 {
+		t.Fatalf("parallel returned with %d still running", r)
 	}
 }
 
