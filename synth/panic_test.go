@@ -216,6 +216,35 @@ func TestRacerPanicLosesRace(t *testing.T) {
 	}
 }
 
+// TestRacerFaultSite: each of auto's racers is contained at
+// racer:<name>, the site a fault spec names and the site label that
+// synthd_panics_total carries; the other racer still answers.
+func TestRacerFaultSite(t *testing.T) {
+	in, err := fault.Parse("racer:gridsynth panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		sites []string
+	)
+	ctx := fault.WithPanicObserver(fault.NewContext(context.Background(), in), func(pe *fault.PanicError) {
+		mu.Lock()
+		defer mu.Unlock()
+		sites = append(sites, pe.Site)
+	})
+	other := &panicBackend{name: "other", inner: gridsynthBE(t)}
+	auto := autoBackend{racers: []Backend{gridsynthBE(t), other}}
+	if _, err := auto.Synthesize(ctx, qmat.Rz(0.3), Request{Epsilon: 1e-2}); err != nil {
+		t.Fatalf("race died with an injected racer panic: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sites) != 1 || sites[0] != "racer:gridsynth" {
+		t.Fatalf("contained panics at %q, want one at racer:gridsynth", sites)
+	}
+}
+
 func TestAllRacersPanicSurfacesError(t *testing.T) {
 	always := func() bool { return true }
 	auto := autoBackend{racers: []Backend{
