@@ -53,9 +53,8 @@ var rowPins = map[string]string{
 // Skipped:
 //   - rows that read a wall clock: all of fig8, and fig7's
 //     "synthetiq-like" rows (the annealer runs on a 400 ms budget);
-//   - fig7's MEAN rows and all of tab1, whose float sums followed
-//     goroutine completion order when these hashes were recorded (the
-//     pool now fills per-index slots, so they are pinnable next).
+//   - fig7's MEAN rows and all of tab1: their float sums followed
+//     goroutine completion order when these hashes were recorded.
 func pinnedRows(id string, rows [][]string) []string {
 	if id == "fig8" || id == "tab1" {
 		return nil
