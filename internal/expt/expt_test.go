@@ -32,8 +32,8 @@ func tiny(t *testing.T) Config {
 // rowPins holds, per experiment, the sha256 of its table's pinned rows at
 // the tiny configuration (see pinnedRows), so a change that moves any
 // figure shows. A rerun at the same seed must reproduce these exactly.
-// They were recorded on linux/amd64; where Go fuses multiply-adds
-// (arm64, ppc64le, s390x) the last printed digits may differ.
+// They were recorded on linux/amd64; on an architecture where the
+// compiler fuses multiply-adds (such as arm64) last digits may differ.
 var rowPins = map[string]string{
 	"fig2":  "339c3ae61db8e500ed608644ca8d9f7588320ad169178c3c2374f98518d0f792",
 	"fig3b": "92bb73d99bad44f21974456251218aacc74d9f59d43e83f82bf93d83c31f7175",
