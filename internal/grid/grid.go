@@ -45,21 +45,69 @@ const (
 // maxScale bounds |j| in a λ^j rescaling.
 const maxScale = 52
 
-// lambdaPow[j] is λ^j correctly rounded, for 0 ≤ j ≤ maxScale.
-var lambdaPow = func() (p [maxScale + 1]float64) {
-	for j := range p {
-		p[j] = ring.PowLambda(j).Float()
+// lambdaScale[j+maxScale] holds, for |j| ≤ maxScale, the float factors
+// λ^j (from λ^|j| correctly rounded) and λ^(−j) that a 1-D solve at
+// rescaling exponent j applies to its two intervals, and λ^(−j) in
+// Z[√2], which maps the solve's points back. The exact entries past about
+// |j| = 50 wrap in int64; Z[√2] arithmetic stays exact modulo 2^64, so a
+// point whose coefficients fit still maps back exactly.
+var lambdaScale = func() (t [2*maxScale + 1]struct {
+	up, down float64
+	back     ring.ZSqrt2
+}) {
+	back := [2]ring.ZSqrt2{{A: 1}, {A: 1}}
+	for j := 0; j <= maxScale; j++ {
+		p := ring.PowLambda(j).Float()
+		t[maxScale+j].up, t[maxScale+j].down = p, 1/p
+		t[maxScale-j].up, t[maxScale-j].down = 1/p, p
+		t[maxScale+j].back, t[maxScale-j].back = back[0], back[1]
+		back[0] = back[0].Mul(ring.ZSqrt2{A: -1, B: 1}) // λ⁻¹
+		back[1] = back[1].Mul(ring.ZSqrt2{A: 1, B: 1})  // λ
 	}
-	return p
+	return t
+}()
+
+// lambdaBand is the relative half-width of the band around each rounding
+// threshold in which lambdaExp takes the logarithm instead of the table.
+const lambdaBand = 1e-9
+
+// lambdaCut[i] is the band [lo, hi] around λ^(2(i−maxScale)+1), the ratio
+// lb/la at which lambdaExp's exponent steps from i−maxScale to
+// i−maxScale+1.
+var lambdaCut = func() (t [2 * maxScale]struct{ lo, hi float64 }) {
+	for i := range t {
+		c := math.Exp(lnLambda * float64(2*(i-maxScale)+1))
+		t[i].lo, t[i].hi = c*(1-lambdaBand), c*(1+lambdaBand)
+	}
+	return t
 }()
 
 // lambdaExp returns the exponent j for which rescaling α ↦ λ^j·α balances
-// intervals of lengths la (for α) and lb (for α•).
+// intervals of lengths la (for α) and lb (for α•): round(log_λ √(lb/la)),
+// clamped to ±maxScale. A ratio outside every lambdaCut band takes its
+// exponent from the table, which gives the logarithm's integer there: the
+// band is over 10⁴ times wider than the logarithm's rounding error.
 func lambdaExp(la, lb float64) int {
 	j := 0
 	switch {
 	case la > 0 && lb > 0:
-		j = int(math.Round(math.Log(math.Sqrt(lb/la)) / lnLambda))
+		r := lb / la
+		if r > 0 && r <= math.MaxFloat64 {
+			// i counts the bands wholly below r.
+			i, n := 0, len(lambdaCut)
+			for i < n {
+				h := int(uint(i+n) >> 1)
+				if lambdaCut[h].hi < r {
+					i = h + 1
+				} else {
+					n = h
+				}
+			}
+			if i == len(lambdaCut) || r < lambdaCut[i].lo {
+				return i - maxScale
+			}
+		}
+		j = int(math.Round(math.Log(math.Sqrt(r)) / lnLambda))
 	case la == 0 && lb > 0:
 		j = int(math.Round(math.Log(lb) / lnLambda))
 	case lb == 0 && la > 0:
@@ -68,15 +116,8 @@ func lambdaExp(la, lb float64) int {
 	return min(max(j, -maxScale), maxScale)
 }
 
-// Solve1D returns all α = m + n√2 ∈ Z[√2] with α ∈ a and α• ∈ b.
-// Rescaling by λ = 1+√2 balances the interval lengths first (λ·λ• = −1), so
-// the scan is proportional to the expected number of solutions plus O(1).
-func Solve1D(a, b Interval) []ring.ZSqrt2 {
-	return appendSolve1D(nil, a, b, lambdaExp(a.Len(), b.Len()))
-}
-
-// appendSolve1D is Solve1D at rescaling exponent j, appending into dst
-// (reusing its capacity).
+// appendSolve1D appends to dst every α = m + n√2 ∈ Z[√2] with α ∈ a and
+// α• ∈ b, scanning at rescaling exponent j (reusing dst's capacity).
 func appendSolve1D(dst []ring.ZSqrt2, a, b Interval, j int) []ring.ZSqrt2 {
 	each1D(a, b, j, func(sol ring.ZSqrt2) bool {
 		dst = append(dst, sol)
@@ -97,37 +138,35 @@ func each1D(a, b Interval, j int, yield func(ring.ZSqrt2) bool) bool {
 		return true
 	}
 	// β = λ^j α: β ∈ λ^j·a, β• = (−1/λ)^j α•.
-	lj, ljInv := lambdaPow[max(j, -j)], 1/lambdaPow[max(j, -j)]
-	if j < 0 {
-		lj, ljInv = ljInv, lj
-	}
-	sa := Interval{a.Lo * lj, a.Hi * lj}
+	sc := &lambdaScale[j+maxScale]
+	sa := Interval{a.Lo * sc.up, a.Hi * sc.up}
 	var sb Interval
 	if j%2 == 0 {
-		sb = Interval{b.Lo * ljInv, b.Hi * ljInv}
+		sb = Interval{b.Lo * sc.down, b.Hi * sc.down}
 	} else {
-		sb = Interval{-b.Hi * ljInv, -b.Lo * ljInv}
+		sb = Interval{-b.Hi * sc.down, -b.Lo * sc.down}
 	}
 	// The scan's sums mix both embeddings, so its rounding scales with
 	// the larger of them.
-	d := solveSlack * max(math.Abs(sa.Lo), math.Abs(sa.Hi), math.Abs(sb.Lo), math.Abs(sb.Hi))
+	d := solveSlack * larger(larger(math.Abs(sa.Lo), math.Abs(sa.Hi)), larger(math.Abs(sb.Lo), math.Abs(sb.Hi)))
 	sa = Interval{sa.Lo - d, sa.Hi + d}
 	sb = Interval{sb.Lo - d, sb.Hi + d}
 	if j == 0 {
 		return each1DDirect(sa, sb, yield)
 	}
 	// Map back: α = λ^{−j}·β, exactly in Z[√2].
-	linv := ring.ZSqrt2{A: -1, B: 1} // λ⁻¹
-	if j < 0 {
-		linv = ring.ZSqrt2{A: 1, B: 1} // λ
-	}
-	scale := ring.ZSqrt2{A: 1, B: 0}
-	for i := 0; i < max(j, -j); i++ {
-		scale = scale.Mul(linv)
-	}
 	return each1DDirect(sa, sb, func(sol ring.ZSqrt2) bool {
-		return yield(sol.Mul(scale))
+		return yield(sol.Mul(sc.back))
 	})
+}
+
+// larger is max for operands that are not NaN: it skips the NaN and
+// signed-zero handling of the builtin, which no finite magnitude needs.
+func larger(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	return y
 }
 
 // each1DDirect scans n = (α − α•)/(2√2) over its feasible range.
@@ -140,10 +179,17 @@ func each1DDirect(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
 		return false
 	}
 	for n := nLo; n <= nHi; n++ {
+		// m ranges over [max(a.Lo−f, b.Lo+f), min(a.Hi−f, b.Hi+f)]; the
+		// bounds are finite, so plain comparisons pick them.
 		f := float64(n) * ring.Sqrt2
-		mLo := math.Ceil(math.Max(a.Lo-f, b.Lo+f))
-		mHi := math.Floor(math.Min(a.Hi-f, b.Hi+f))
-		for m := mLo; m <= mHi; m++ {
+		lo, hi := a.Lo-f, a.Hi-f
+		if v := b.Lo + f; v > lo {
+			lo = v
+		}
+		if v := b.Hi + f; v < hi {
+			hi = v
+		}
+		for m, mHi := math.Ceil(lo), math.Floor(hi); m <= mHi; m++ {
 			if !yield(ring.ZSqrt2{A: int64(m), B: n}) {
 				return false
 			}
@@ -220,9 +266,11 @@ func (sl *Sliver) Scan(k int, yield func(Candidate) bool) bool {
 			return true
 		}
 		// The ε-sliver's section at x, where it has one, orders the y solve.
-		jy := lambdaExp(yInt.Len(), yBullet.Len())
+		var jy int
 		if ey, eb, ok := sl.section(x, xb, s, s*s, sl.ce, 0, 0); ok {
 			jy = lambdaExp(ey.Len(), eb.Len())
+		} else {
+			jy = lambdaExp(yInt.Len(), yBullet.Len())
 		}
 		sl.ybuf = appendSolve1D(sl.ybuf[:0], yInt, yBullet, jy)
 		for _, yp := range sl.ybuf {
@@ -290,12 +338,17 @@ func (sl *Sliver) section(x, xb, s, s2, c, m, fuzz float64) (yInt, yBullet Inter
 	}
 	r := math.Sqrt(disc)
 	ylo, yhi := -r, r
-	// Chord: x cosφ − y sinφ ≥ c·s.
+	// Chord: x cosφ − y sinφ ≥ c·s. Every bound is finite, so plain
+	// comparisons clip.
 	switch {
 	case sl.sinP > 1e-300:
-		yhi = math.Min(yhi, (x*sl.cosP-c*s+m)/sl.sinP)
+		if v := (x*sl.cosP - c*s + m) / sl.sinP; v < yhi {
+			yhi = v
+		}
 	case sl.sinP < -1e-300:
-		ylo = math.Max(ylo, (x*sl.cosP-c*s+m)/sl.sinP)
+		if v := (x*sl.cosP - c*s + m) / sl.sinP; v > ylo {
+			ylo = v
+		}
 	default:
 		if x*sl.cosP < c*s-m {
 			return Interval{}, Interval{}, false

@@ -28,6 +28,13 @@ func SliverCandidates(p SliverParams, limit int) []Candidate {
 	return out
 }
 
+// Solve1D returns all α = m + n√2 ∈ Z[√2] with α ∈ a and α• ∈ b.
+// Rescaling by λ = 1+√2 balances the interval lengths first (λ·λ• = −1), so
+// the scan is proportional to the expected number of solutions plus O(1).
+func Solve1D(a, b Interval) []ring.ZSqrt2 {
+	return appendSolve1D(nil, a, b, lambdaExp(a.Len(), b.Len()))
+}
+
 // bruteSolve1D enumerates solutions exhaustively for small intervals.
 func bruteSolve1D(a, b Interval) []ring.ZSqrt2 {
 	var out []ring.ZSqrt2

@@ -26,6 +26,81 @@ func newRefSliver(theta, eps float64) *refSliver {
 	return &refSliver{c: c, w: math.Sqrt(math.Max(0, 1-c*c)), cosP: math.Cos(theta / 2), sinP: math.Sin(theta / 2)}
 }
 
+// refLambdaExp is lambdaExp by logarithms alone, as it was before the
+// threshold table.
+func refLambdaExp(la, lb float64) int {
+	j := 0
+	switch {
+	case la > 0 && lb > 0:
+		j = int(math.Round(math.Log(math.Sqrt(lb/la)) / lnLambda))
+	case la == 0 && lb > 0:
+		j = int(math.Round(math.Log(lb) / lnLambda))
+	case lb == 0 && la > 0:
+		j = -int(math.Round(math.Log(la) / lnLambda))
+	}
+	return min(max(j, -maxScale), maxScale)
+}
+
+// TestLambdaExpMatchesLog: the table exponent is refLambdaExp's on
+// log-uniform pairs reaching past the ±maxScale clamp, within 64 ulps of
+// every threshold, of the logarithm's own step and of every band edge,
+// and on zero, negative and non-finite lengths.
+func TestLambdaExpMatchesLog(t *testing.T) {
+	check := func(la, lb float64) {
+		t.Helper()
+		if got, want := lambdaExp(la, lb), refLambdaExp(la, lb); got != want {
+			t.Fatalf("lambdaExp(%v, %v) = %d, want %d", la, lb, got, want)
+		}
+	}
+	// |ln(lb/la)| reaches 140, past the clamp's (2·maxScale+1)·lnλ ≈ 92.6.
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Exp(rng.Float64()*140-70), math.Exp(rng.Float64()*140-70))
+	}
+	around := func(la, r float64) {
+		lb := r * la
+		for i := 0; i < 64; i++ {
+			lb = math.Nextafter(lb, 0)
+		}
+		for i := 0; i <= 128; i++ {
+			check(la, lb)
+			lb = math.Nextafter(lb, math.Inf(1))
+		}
+	}
+	for i, c := range lambdaCut {
+		// The threshold λ^(2J+1) = a + b√2, rounded from 200 bits.
+		p := ring.PowLambda(2*(i-maxScale) + 1)
+		sqrt2 := new(big.Float).SetPrec(200).SetInt64(2)
+		sqrt2.Sqrt(sqrt2)
+		exact, _ := new(big.Float).SetPrec(200).Add(new(big.Float).SetInt(p.A), sqrt2.Mul(sqrt2, new(big.Float).SetInt(p.B))).Float64()
+		// Where the logarithm steps, bisected over the band's float bits.
+		lo, hi := math.Float64bits(c.lo), math.Float64bits(c.hi)
+		for lo+1 < hi {
+			mid := lo + (hi-lo)/2
+			if refLambdaExp(1, math.Float64frombits(mid)) == i-maxScale {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		for _, r := range []float64{exact, math.Float64frombits(hi), c.lo, c.hi} {
+			for _, la := range []float64{1, 0.75, 3e-3 * math.Pi, 7e4} {
+				around(la, r)
+			}
+		}
+	}
+	special := []float64{0, math.Copysign(0, -1), -1, 5e-324, 1e-300, 1, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 1000; i++ {
+		special = append(special, math.Exp(rng.Float64()*140-70))
+	}
+	for _, x := range special {
+		for _, y := range special[:11] {
+			check(x, y)
+			check(y, x)
+		}
+	}
+}
+
 func refWiden(iv Interval, abs float64) Interval { return Interval{iv.Lo - abs, iv.Hi + abs} }
 
 func refSolve1D(a, b Interval) []ring.ZSqrt2 {
@@ -41,7 +116,7 @@ func refEach1D(a, b Interval, yield func(ring.ZSqrt2) bool) bool {
 	if a.Len() < 0 || b.Len() < 0 {
 		return true
 	}
-	j := lambdaExp(a.Len(), b.Len())
+	j := refLambdaExp(a.Len(), b.Len())
 	lj := math.Exp(lnLambda * float64(j))
 	sa := Interval{a.Lo * lj, a.Hi * lj}
 	var sb Interval

@@ -56,15 +56,21 @@ type scanGoldenEntry struct {
 	SHA        string  `json:"sha256"`
 }
 
+// rzSlivers returns the slivers gridsynth.Rz scans for Rz(θ) at ε: one per
+// phase grid, admitting up to its acceptance bound.
+func rzSlivers(theta, eps float64) [2]*grid.Sliver {
+	admit := eps*(1+1e-6) + 1e-7 + 1e-12
+	return [2]*grid.Sliver{
+		grid.NewSliver(theta, eps, admit),
+		grid.NewSliver(theta-math.Pi/4, eps, admit),
+	}
+}
+
 // scanStream scans k = kLo..kHi on both phase grids, the way gridsynth.Rz
 // does (one Sliver per grid, reused across k), and hashes each scan's k,
 // grid, candidates and completion flag.
 func scanStream(theta, eps float64, kLo, kHi int) scanGoldenEntry {
-	admit := eps*(1+1e-6) + 1e-7 + 1e-12
-	slivers := [2]*grid.Sliver{
-		grid.NewSliver(theta, eps, admit),
-		grid.NewSliver(theta-math.Pi/4, eps, admit),
-	}
+	slivers := rzSlivers(theta, eps)
 	e := scanGoldenEntry{Theta: strconv.FormatUint(math.Float64bits(theta), 16), Eps: eps, KLo: kLo, KHi: kHi}
 	h := sha256.New()
 	buf := make([]byte, 0, 4096)
@@ -178,5 +184,37 @@ func recordScanGolden(t *testing.T) {
 	}
 	if err := os.WriteFile(scanGoldenFile, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSliverScan times the scan alone: one op scans every k up to the
+// one gridsynth.Rz solves at, in full, on both phase grids, for one of
+// BenchmarkRz's five angles in turn.
+func BenchmarkSliverScan(b *testing.B) {
+	for _, eps := range []float64{1e-5, 1e-6} {
+		b.Run(strconv.FormatFloat(eps, 'g', -1, 64), func(b *testing.B) {
+			type rz struct {
+				slivers [2]*grid.Sliver
+				k       int
+			}
+			var rzs []rz
+			for i := 0; i < 5; i++ {
+				theta := 1.0 + float64(i)*0.21
+				r, err := gridsynth.Rz(theta, eps, gridsynth.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rzs = append(rzs, rz{rzSlivers(theta, eps), r.K})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := rzs[i%len(rzs)]
+				for k := 0; k <= c.k; k++ {
+					for _, sl := range c.slivers {
+						sl.Scan(k, func(grid.Candidate) bool { return true })
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,26 +2,19 @@ package gridsynth
 
 import "testing"
 
-func BenchmarkGridsynthRz1e2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Rz(1.0+float64(i%5)*0.21, 1e-2, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGridsynthRz1e4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Rz(1.0+float64(i%5)*0.21, 1e-4, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGridsynthRz1e6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Rz(1.0+float64(i%5)*0.21, 1e-6, Options{}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRz times one Rz synthesis per op over the ε ladder, cycling
+// through five fixed angles (TestAllocBudget's).
+func BenchmarkRz(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		eps  float64
+	}{{"1e-2", 1e-2}, {"1e-3", 1e-3}, {"1e-4", 1e-4}, {"1e-5", 1e-5}, {"1e-6", 1e-6}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Rz(1.0+float64(i%5)*0.21, tc.eps, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

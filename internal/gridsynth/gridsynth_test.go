@@ -164,19 +164,3 @@ func TestAdmitsOnlyDoublyNonNegative(t *testing.T) {
 		t.Fatal("no scanned candidate with ξ not doubly non-negative passed PreError")
 	}
 }
-
-func BenchmarkRzEps1e2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Rz(1.0+float64(i%7)*0.37, 1e-2, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRzEps1e3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Rz(1.0+float64(i%7)*0.37, 1e-3, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
