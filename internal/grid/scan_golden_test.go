@@ -206,8 +206,7 @@ func BenchmarkSliverScan(b *testing.B) {
 				}
 				rzs = append(rzs, rz{rzSlivers(theta, eps), r.K})
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 0; b.Loop(); i++ {
 				c := rzs[i%len(rzs)]
 				for k := 0; k <= c.k; k++ {
 					for _, sl := range c.slivers {

@@ -10,7 +10,7 @@ func BenchmarkRz(b *testing.B) {
 		eps  float64
 	}{{"1e-2", 1e-2}, {"1e-3", 1e-3}, {"1e-4", 1e-4}, {"1e-5", 1e-5}, {"1e-6", 1e-6}} {
 		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for i := 0; b.Loop(); i++ {
 				if _, err := Rz(1.0+float64(i%5)*0.21, tc.eps, Options{}); err != nil {
 					b.Fatal(err)
 				}
