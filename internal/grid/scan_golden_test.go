@@ -71,7 +71,7 @@ func rzSlivers(theta, eps float64) [2]*grid.Sliver {
 // grid, candidates and completion flag.
 func scanStream(theta, eps float64, kLo, kHi int) scanGoldenEntry {
 	slivers := rzSlivers(theta, eps)
-	e := scanGoldenEntry{Theta: strconv.FormatUint(math.Float64bits(theta), 16), Eps: eps, KLo: kLo, KHi: kHi}
+	e := scanGoldenEntry{Theta: hexBits(theta), Eps: eps, KLo: kLo, KHi: kHi}
 	h := sha256.New()
 	buf := make([]byte, 0, 4096)
 	for k := kLo; k <= kHi; k++ {
@@ -107,14 +107,16 @@ func scanGoldenCases() []scanGoldenEntry {
 	var cases []scanGoldenEntry
 	for _, eps := range scanGoldenEps {
 		for _, theta := range scanGoldenAngles() {
-			cases = append(cases, scanGoldenEntry{Theta: strconv.FormatUint(math.Float64bits(theta), 16), Eps: eps, KHi: -1})
+			cases = append(cases, scanGoldenEntry{Theta: hexBits(theta), Eps: eps, KHi: -1})
 		}
 	}
 	for _, theta := range scanGoldenDense {
-		cases = append(cases, scanGoldenEntry{Theta: strconv.FormatUint(math.Float64bits(theta), 16), Eps: 1e-6, KLo: 38, KHi: 38})
+		cases = append(cases, scanGoldenEntry{Theta: hexBits(theta), Eps: 1e-6, KLo: 38, KHi: 38})
 	}
 	return cases
 }
+
+func hexBits(x float64) string { return strconv.FormatUint(math.Float64bits(x), 16) }
 
 func parseTheta(t *testing.T, s string) float64 {
 	t.Helper()
