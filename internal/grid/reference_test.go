@@ -67,12 +67,17 @@ func TestLambdaExpMatchesLog(t *testing.T) {
 			lb = math.Nextafter(lb, math.Inf(1))
 		}
 	}
+	sqrt2 := new(big.Float).SetPrec(512).SetInt64(2)
+	sqrt2.Sqrt(sqrt2)
 	for i, c := range lambdaCut {
-		// The threshold λ^(2J+1) = a + b√2, rounded from 200 bits.
+		// The threshold λ^(2J+1) = a + b√2, rounded from 512 bits: below 1,
+		// a and b cancel by up to about 260 bits.
 		p := ring.PowLambda(2*(i-maxScale) + 1)
-		sqrt2 := new(big.Float).SetPrec(200).SetInt64(2)
-		sqrt2.Sqrt(sqrt2)
-		exact, _ := new(big.Float).SetPrec(200).Add(new(big.Float).SetInt(p.A), sqrt2.Mul(sqrt2, new(big.Float).SetInt(p.B))).Float64()
+		x := new(big.Float).SetPrec(512).SetInt(p.B)
+		exact, _ := x.Mul(x, sqrt2).Add(x, new(big.Float).SetInt(p.A)).Float64()
+		if mid := (c.lo + c.hi) / 2; math.Abs(mid-exact) > 1e-13*exact {
+			t.Fatalf("band %d is centred at %v, threshold %v", i, mid, exact)
+		}
 		// Where the logarithm steps, bisected over the band's float bits.
 		lo, hi := math.Float64bits(c.lo), math.Float64bits(c.hi)
 		for lo+1 < hi {
@@ -89,12 +94,13 @@ func TestLambdaExpMatchesLog(t *testing.T) {
 			}
 		}
 	}
-	special := []float64{0, math.Copysign(0, -1), -1, 5e-324, 1e-300, 1, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
-	for i := 0; i < 1000; i++ {
-		special = append(special, math.Exp(rng.Float64()*140-70))
-	}
-	for _, x := range special {
-		for _, y := range special[:11] {
+	edge := []float64{0, math.Copysign(0, -1), -1, 5e-324, 1e-300, 1, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, x := range edge {
+		for _, y := range edge {
+			check(x, y)
+		}
+		for i := 0; i < 1000; i++ {
+			y := math.Exp(rng.Float64()*140 - 70)
 			check(x, y)
 			check(y, x)
 		}
