@@ -193,8 +193,12 @@ func recordScanGolden(t *testing.T) {
 // one gridsynth.Rz solves at, in full, on both phase grids, for one of
 // BenchmarkRz's five angles in turn.
 func BenchmarkSliverScan(b *testing.B) {
-	for _, eps := range []float64{1e-5, 1e-6} {
-		b.Run(strconv.FormatFloat(eps, 'g', -1, 64), func(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		eps  float64
+	}{{"1e-5", 1e-5}, {"1e-6", 1e-6}} {
+		eps := tc.eps
+		b.Run(tc.name, func(b *testing.B) {
 			type rz struct {
 				slivers [2]*grid.Sliver
 				k       int
