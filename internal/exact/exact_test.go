@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -141,6 +143,106 @@ func TestNumericAgreement(t *testing.T) {
 		}
 		if d := qmat.Distance(w.Matrix(), seq.Matrix()); d > 1e-7 {
 			t.Fatalf("numeric distance %v after exact synthesis", d)
+		}
+	}
+}
+
+// hTWord returns (H·T^±1)^pairs with each sign drawn from rng. Each pair
+// adds one T gate and exact synthesis spends about two per unit of K, so K
+// grows by about one per two pairs (11 at 20 pairs, 161 at 320) and the
+// coefficients like √2^K.
+func hTWord(rng *rand.Rand, pairs int) gates.Sequence {
+	s := make(gates.Sequence, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		t := gates.T
+		if rng.Intn(2) == 0 {
+			t = gates.Tdg
+		}
+		s = append(s, gates.H, t)
+	}
+	return s
+}
+
+// maxCoeffBits returns the bit length of m's largest coefficient magnitude.
+func maxCoeffBits(m BUMat) int {
+	n := 0
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			e := m.E[i][j]
+			for _, c := range [4]*big.Int{e.A, e.B, e.C, e.D} {
+				n = max(n, c.BitLen())
+			}
+		}
+	}
+	return n
+}
+
+// TestSynthesizeCoefficientBands synthesizes H·T^±1 words of 20 to 320
+// pairs, whose exact products fill each coefficient band the int64 path
+// treats differently: below 2^29 (unitarity checked in int64), below 2^58
+// (reducer products in int64), below 2^63 (the matrix fits int64, reducer
+// products do not) and beyond int64. For every word the fast path must
+// emit the reference path's gates, the output must multiply back to the
+// input, and the input with one coefficient moved must be refused as not
+// unitary on both paths.
+func TestSynthesizeCoefficientBands(t *testing.T) {
+	tab := gates.Shared(5)
+	rng := rand.New(rand.NewSource(6))
+	bands := []struct {
+		name    string
+		maxBits int // largest coefficient bit length in the band
+		words   int
+	}{
+		{"below 2^29", 29, 0},
+		{"2^29 to 2^58", 58, 0},
+		{"2^58 to 2^63", 63, 0},
+		{"beyond int64", 1 << 30, 0},
+	}
+	synth := func(m BUMat, fast bool) (gates.Sequence, error) {
+		defer SetFastPath(SetFastPath(fast))
+		return Synthesize(m, tab)
+	}
+	const words = 60
+	for i := 0; i < words; i++ {
+		pairs := 20 + i*300/(words-1)
+		m := SequenceBU(hTWord(rng, pairs))
+		bits := maxCoeffBits(m)
+		b := 0
+		for bits > bands[b].maxBits {
+			b++
+		}
+		bands[b].words++
+
+		got, err := synth(m, true)
+		if err != nil {
+			t.Fatalf("%d pairs (K=%d, %d-bit coefficients): %v", pairs, m.K, bits, err)
+		}
+		want, err := synth(m, false)
+		if err != nil {
+			t.Fatalf("%d pairs, reference path: %v", pairs, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%d pairs (K=%d, %d-bit coefficients): fast path %v, reference %v",
+				pairs, m.K, bits, got, want)
+		}
+		if !SequenceBU(got).EqualUpToPhase(m) {
+			t.Fatalf("%d pairs (K=%d): output does not multiply back to the input", pairs, m.K)
+		}
+
+		// Row 0 of a unitary has |e00|² + |e01|² = 2^K; adding 1 to e00
+		// adds 2·Re(e00) + 1 ≠ 0, so the moved matrix is never unitary.
+		bad := NewBUMat(m.E[0][0].Add(ring.BOmegaFromInt(1)), m.E[0][1], m.E[1][0], m.E[1][1], m.K)
+		for _, fast := range []bool{true, false} {
+			if _, err := synth(bad, fast); !errors.Is(err, ErrNotUnitary) {
+				t.Fatalf("%d pairs, moved coefficient, fast path %v: got %v, want ErrNotUnitary",
+					pairs, fast, err)
+			}
+		}
+	}
+	for _, b := range bands {
+		t.Logf("%s: %d words", b.name, b.words)
+		if b.words == 0 {
+			t.Errorf("no word has coefficients %s", b.name)
 		}
 	}
 }
