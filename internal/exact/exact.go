@@ -163,6 +163,11 @@ var reducersU = func() [4]ring.UMat {
 // reduce stay ≤ 2^62 < MaxInt64.
 const uncheckedSafeLimit = 1 << 58
 
+// unitaryCheckLimit bounds |coefficient| of u such that u·u† cannot
+// overflow int64: each product entry coefficient is a sum of 8 terms each
+// below 2^58, so below 2^61, and the reduce intermediates stay below 2^62.
+const unitaryCheckLimit = 1 << 29
+
 // maxAbsCoeff returns the largest coefficient magnitude of u (saturating
 // at MaxInt64 for MinInt64 coefficients).
 func maxAbsCoeff(u ring.UMat) int64 {
@@ -186,14 +191,14 @@ func maxAbsCoeff(u ring.UMat) int64 {
 	return m
 }
 
-// mulReducer returns reducersU[j]·w, using plain int64 arithmetic when w's
-// coefficients are provably too small to overflow and the step-checked
-// path otherwise. Both compute the identical exact product.
+// mulReducer returns reducersU[j]·w in int64 arithmetic, or ok=false
+// when w's coefficients are too large for that product to be proven free
+// of overflow; the caller then continues in big arithmetic.
 func mulReducer(j int, w ring.UMat) (ring.UMat, bool) {
-	if maxAbsCoeff(w) < uncheckedSafeLimit {
-		return reducersU[j].Mul(w), true
+	if maxAbsCoeff(w) >= uncheckedSafeLimit {
+		return ring.UMat{}, false
 	}
-	return reducersU[j].MulChecked(w)
+	return reducersU[j].Mul(w), true
 }
 
 // prefixFor returns the emitted gates for reducer j (the peeled factor
@@ -238,31 +243,33 @@ func SetFastPath(enabled bool) bool {
 // MaxT ≥ 4 works; larger tables trim a few gates).
 //
 // When every coefficient of m fits in int64 (always, for gridsynth at
-// practical ε), the whole peel loop runs in overflow-checked machine
-// arithmetic and performs no big.Int work at all; a coefficient outgrowing
-// int64 promotes the residual to the big.Int loop mid-stream. Both paths
-// perform the identical exact arithmetic, so the emitted sequence is the
-// same gate for gate.
+// practical ε), the peel loop runs in machine arithmetic, each product
+// made only once a coefficient bound proves it cannot overflow: the
+// unitarity check below unitaryCheckLimit (in big arithmetic above it),
+// and each reducer product below uncheckedSafeLimit, past which the
+// residual moves to the big.Int loop mid-stream. Both paths perform the
+// identical exact arithmetic, so the emitted sequence is the same gate
+// for gate.
 func Synthesize(m BUMat, tab *gates.Table) (gates.Sequence, error) {
-	if fastPathEnabled {
-		if u, ok := m.ToUMat(); ok {
-			if unitary, fits := isUnitaryChecked(u); fits {
-				if !unitary {
-					return nil, ErrNotUnitary
-				}
-				return synthesizeSmall(u, tab)
-			}
+	u, small := m.ToUMat()
+	small = small && fastPathEnabled
+	if small && maxAbsCoeff(u) < unitaryCheckLimit {
+		if !isUnitarySmall(u) {
+			return nil, ErrNotUnitary
 		}
-	}
-	if !isUnitary(m) {
+	} else if !isUnitary(m) {
 		return nil, ErrNotUnitary
+	}
+	if small {
+		return synthesizeSmall(u, tab)
 	}
 	return synthesizeBig(m, tab, nil, 0)
 }
 
-// synthesizeSmall is the int64 peel loop. On overflow it promotes the
-// current residual to the big.Int loop, preserving the accumulated prefix
-// and iteration count, so the result is identical to an all-big run.
+// synthesizeSmall is the int64 peel loop. Once a residual's coefficients
+// reach uncheckedSafeLimit it promotes that residual to the big.Int loop,
+// preserving the accumulated prefix and iteration count, so the result is
+// identical to an all-big run.
 func synthesizeSmall(u ring.UMat, tab *gates.Table) (gates.Sequence, error) {
 	var seq gates.Sequence
 	w := u
@@ -327,7 +334,8 @@ func synthesizeSmall(u ring.UMat, tab *gates.Table) (gates.Sequence, error) {
 }
 
 // synthesizeBig is the arbitrary-precision peel loop (reference path, and
-// the continuation target when the fast path overflows).
+// the continuation target once the fast path's coefficient bound is
+// reached).
 func synthesizeBig(m BUMat, tab *gates.Table, seq gates.Sequence, startIter int) (gates.Sequence, error) {
 	w := m
 	for iter := startIter; ; iter++ {
@@ -394,23 +402,10 @@ func fromUMat(u ring.UMat) BUMat {
 	return b
 }
 
-// isUnitaryChecked checks u·u† = I in int64 arithmetic; fits=false means
-// an intermediate overflowed and the caller must use the big.Int check.
-func isUnitaryChecked(u ring.UMat) (unitary, fits bool) {
-	d, ok := u.DaggerChecked()
-	if !ok {
-		return false, false
-	}
-	p, ok := u.MulChecked(d)
-	if !ok {
-		return false, false
-	}
-	if p.K != 0 {
-		return false, true
-	}
-	one := ring.ZOmegaFromInt(1)
-	return p.E[0][0] == one && p.E[1][1] == one &&
-		p.E[0][1].IsZero() && p.E[1][0].IsZero(), true
+// isUnitarySmall checks u·u† = I in int64 arithmetic; the caller ensures
+// every coefficient of u is below unitaryCheckLimit.
+func isUnitarySmall(u ring.UMat) bool {
+	return u.Mul(u.Dagger()) == ring.UIdentity()
 }
 
 // isUnitary checks m·m† = I exactly.

@@ -245,9 +245,12 @@ func admitBound(eps float64) float64 { return eps*(1+1e-6) + 1e-7 + 1e-12 }
 
 // doublyNonNegative reports whether ξ = 2^k − |u|² satisfies ξ ≥ 0 and
 // ξ• ≥ 0: with |u|² = n + q√2, whether P = 2^k − n ≥ 0 and P² ≥ 2q², in
-// int64 while that cannot overflow and in big arithmetic otherwise.
+// int64 while that cannot overflow and in big arithmetic otherwise. With
+// every coefficient of u below 2^14, |n| and |q| are below 2^30, and with
+// k ≤ 30, P² and 2q² are below 2^62.
 func doublyNonNegative(u ring.ZOmega, k int) bool {
-	if n, ok := u.Norm2Checked(); ok && k <= 30 && max(n.A, -n.A, n.B, -n.B) < 1<<30 {
+	if k <= 30 && max(u.A, -u.A, u.B, -u.B, u.C, -u.C, u.D, -u.D) < 1<<14 {
+		n := u.Norm2()
 		p := int64(1)<<k - n.A
 		return p >= 0 && p*p >= 2*n.B*n.B
 	}
