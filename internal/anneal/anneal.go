@@ -21,12 +21,8 @@ type Options struct {
 	// Length is the sequence length (identity slots allowed). 0 derives a
 	// length from the error target.
 	Length int
-	// InitTemp and CoolRate control the geometric temperature schedule.
-	InitTemp float64
-	CoolRate float64
-	// ItersPerRestart bounds one annealing run; Budget bounds wall clock.
-	ItersPerRestart int
-	Budget          time.Duration
+	// Budget bounds wall clock.
+	Budget time.Duration
 	// Rng drives the search; nil selects a fixed default seed so runs are
 	// reproducible unless the caller opts into randomness.
 	Rng *rand.Rand
@@ -46,6 +42,15 @@ type Result struct {
 	Success  bool // Error ≤ the requested eps within the budget
 }
 
+// The geometric temperature schedule: each restart starts at initTemp
+// and multiplies it by coolRate per iteration, for at most
+// itersPerRestart iterations.
+const (
+	initTemp        = 0.3
+	coolRate        = 0.9997
+	itersPerRestart = 20000
+)
+
 var alphabet = []gates.Gate{
 	gates.I, gates.X, gates.Y, gates.Z, gates.H,
 	gates.S, gates.Sdg, gates.T, gates.Tdg,
@@ -55,15 +60,6 @@ func (o Options) filled(eps float64) Options {
 	if o.Length <= 0 {
 		// ~3 gates per T and ~3·log2(1/ε) T gates.
 		o.Length = 24 + int(9*math.Log2(1/eps))
-	}
-	if o.InitTemp <= 0 {
-		o.InitTemp = 0.3
-	}
-	if o.CoolRate <= 0 {
-		o.CoolRate = 0.9997
-	}
-	if o.ItersPerRestart <= 0 {
-		o.ItersPerRestart = 20000
 	}
 	if o.Budget <= 0 {
 		o.Budget = 2 * time.Second
@@ -100,8 +96,8 @@ func Synthesize(u qmat.M2, eps float64, opt Options) Result {
 			seq[i] = alphabet[rng.Intn(len(alphabet))]
 		}
 		cur := qmat.Distance(u, seq.Matrix())
-		temp := opt.InitTemp
-		for it := 0; it < opt.ItersPerRestart; it++ {
+		temp := initTemp
+		for it := 0; it < itersPerRestart; it++ {
 			if it%512 == 0 && (!time.Now().Before(deadline) || opt.canceled()) {
 				break
 			}
@@ -118,7 +114,7 @@ func Synthesize(u qmat.M2, eps float64, opt Options) Result {
 			} else {
 				seq[pos] = old
 			}
-			temp *= opt.CoolRate
+			temp *= coolRate
 			if cur < best.Error {
 				clean := compact(seq)
 				best.Seq = clean

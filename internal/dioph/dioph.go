@@ -23,8 +23,8 @@ import (
 	"repro/internal/ring"
 )
 
-// MaxRhoIter bounds Pollard rho work per composite (tunable for tests).
-var MaxRhoIter = 1 << 17
+// maxRhoIter bounds Pollard rho work per composite.
+const maxRhoIter = 1 << 17
 
 // Hoisted constants (read-only; never mutated).
 var (

@@ -92,7 +92,7 @@ func Factor(n *big.Int) ([]PrimePower, bool) {
 }
 
 // rhoBrent finds a nontrivial factor of an odd composite m using Brent's
-// cycle variant of Pollard rho with batched gcds, within MaxRhoIter steps.
+// cycle variant of Pollard rho with batched gcds, within maxRhoIter steps.
 func rhoBrent(m *big.Int) (*big.Int, bool) {
 	one := big.NewInt(1)
 	for c := int64(1); c < 32; c++ {
@@ -104,14 +104,14 @@ func rhoBrent(m *big.Int) (*big.Int, bool) {
 		r := 1
 		iter := 0
 		const batch = 128
-		for g.Cmp(one) == 0 && iter < MaxRhoIter {
+		for g.Cmp(one) == 0 && iter < maxRhoIter {
 			x = new(big.Int).Set(y)
 			for i := 0; i < r; i++ {
 				y.Mul(y, y)
 				y.Add(y, cBig)
 				y.Mod(y, m)
 			}
-			for k := 0; k < r && g.Cmp(one) == 0 && iter < MaxRhoIter; k += batch {
+			for k := 0; k < r && g.Cmp(one) == 0 && iter < maxRhoIter; k += batch {
 				ys = new(big.Int).Set(y)
 				lim := batch
 				if r-k < lim {
@@ -142,7 +142,7 @@ func rhoBrent(m *big.Int) (*big.Int, bool) {
 				diff.Abs(diff)
 				g.GCD(nil, nil, diff, m)
 				iter++
-				if iter > MaxRhoIter {
+				if iter > maxRhoIter {
 					break
 				}
 			}

@@ -25,13 +25,9 @@ import (
 	"repro/synth/trace"
 )
 
-// Options tunes the search; zero values select sensible defaults.
+// Options carries a search's cancellation and tracing; the zero value
+// runs an uncanceled, untraced search.
 type Options struct {
-	// MaxK caps the denominator exponent (default 120 ≈ ε ~ 1e-18).
-	MaxK int
-	// Table supplies the residual lookup for exact synthesis (default
-	// gates.Shared(4)).
-	Table *gates.Table
 	// Cancel, when non-nil, aborts the search between denominator
 	// exponents, returning ErrCanceled.
 	Cancel <-chan struct{}
@@ -51,7 +47,7 @@ type Result struct {
 	K        int // denominator exponent of the solution
 }
 
-// ErrNoSolution is returned when no solution is found within MaxK.
+// ErrNoSolution is returned when no solution is found within maxK.
 var ErrNoSolution = errors.New("gridsynth: no solution within MaxK")
 
 // ErrCanceled is returned when Options.Cancel fires mid-search.
@@ -64,15 +60,8 @@ var ErrCanceled = errors.New("gridsynth: canceled")
 // 1.0–2.6 on average. The bound is a backstop no search is known to reach.
 const candidatesPerK = 4096
 
-func (o Options) filled() Options {
-	if o.MaxK <= 0 {
-		o.MaxK = 120
-	}
-	if o.Table == nil {
-		o.Table = gates.Shared(4)
-	}
-	return o
-}
+// maxK caps the denominator exponent (k = 120 reaches ε ~ 1e-18).
+const maxK = 120
 
 // Rz synthesizes Rz(theta) to unitary distance ≤ eps.
 //
@@ -94,7 +83,6 @@ func (o Options) filled() Options {
 // the scanned region to the bound changes no answer that region does not
 // contain.
 func Rz(theta, eps float64, opt Options) (Result, error) {
-	opt = opt.filled()
 	if eps <= 0 || eps >= 1 {
 		return Result{}, fmt.Errorf("gridsynth: eps %v out of range (0,1)", eps)
 	}
@@ -107,6 +95,7 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		u          ring.BOmega
 		n2, xi, xb ring.BSqrt2
 		solver     = dioph.NewSolver()
+		table      = gates.Shared(4) // exact synthesis's residual lookup
 	)
 	// The final acceptance bound, shared by the PreError admission below
 	// (with a hair of extra slack so borderline candidates reach the
@@ -119,7 +108,7 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		grid.NewSliver(theta, eps, admit),
 		grid.NewSliver(theta-math.Pi/4, eps, admit),
 	}
-	for k := 0; k <= opt.MaxK; k++ {
+	for k := 0; k <= maxK; k++ {
 		if opt.Cancel != nil {
 			select {
 			case <-opt.Cancel:
@@ -149,7 +138,7 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 				t, ok := solver.Solve(xi)
 				if ok {
 					v := exact.FromColumns(u, t, k, g)
-					if seq, err := exact.Synthesize(v, opt.Table); err == nil {
+					if seq, err := exact.Synthesize(v, table); err == nil {
 						if d := qmat.Distance(target, seq.Matrix()); d <= bound {
 							res = Result{
 								Seq:      seq,
