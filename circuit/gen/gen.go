@@ -17,7 +17,7 @@
 //
 // Everything is deterministic in its seed arguments; nothing reads the
 // clock. internal/suite assembles the 192-circuit corpus from these
-// generators and re-exports them as deprecated aliases.
+// generators.
 package gen
 
 import (

@@ -155,7 +155,12 @@ func (s Sequence) Matrix() qmat.M2 {
 	return m
 }
 
-// UMat returns the exact product of the sequence.
+// UMat returns the exact product of the sequence while its coefficients
+// fit in int64. Every gate but H only permutes and negates coefficients,
+// and each H at most doubles the largest, so a sequence with at most 61 H
+// gates is always exact. Past int64 the coefficients wrap silently: for a
+// word of 260 H·T^±1 pairs (K = 131) the product differs from
+// exact.SequenceBU's. Use exact.SequenceBU for long sequences.
 func (s Sequence) UMat() ring.UMat {
 	m := ring.UIdentity()
 	for _, g := range s {
