@@ -9,6 +9,51 @@ import (
 	"repro/internal/qmat"
 )
 
+// Norm2 returns Σ |trace value|² over all configurations.
+func (c *Chain) Norm2() float64 { return c.norm2 }
+
+// Eval contracts the chain at a specific configuration, returning the exact
+// trace value Tr(U†·M_{s1}···M_{sl}) for that configuration.
+func (c *Chain) Eval(idx []int32) complex128 {
+	if len(idx) != len(c.sites) {
+		panic("mps: wrong index length")
+	}
+	env := []complex128{1}
+	for i, st := range c.sites {
+		s := int(idx[i])
+		next := make([]complex128, st.dr)
+		base := s * st.dl * st.dr
+		for l := 0; l < st.dl; l++ {
+			e := env[l]
+			if e == 0 {
+				continue
+			}
+			row := st.data[base+l*st.dr : base+(l+1)*st.dr]
+			for r, v := range row {
+				next[r] += e * v
+			}
+		}
+		env = next
+	}
+	return env[0]
+}
+
+// Best returns the sampled configuration with the largest |Trace| and the
+// corresponding absolute trace value; ok=false for an empty slice.
+func Best(samples []Sampled) (Sampled, bool) {
+	if len(samples) == 0 {
+		return Sampled{}, false
+	}
+	best := samples[0]
+	bv := cmplx.Abs(best.Trace)
+	for _, s := range samples[1:] {
+		if v := cmplx.Abs(s.Trace); v > bv {
+			best, bv = s, v
+		}
+	}
+	return best, true
+}
+
 // randomSites builds small random unitary candidate lists.
 func randomSites(rng *rand.Rand, dims ...int) [][]qmat.M2 {
 	sites := make([][]qmat.M2, len(dims))

@@ -2,22 +2,31 @@ package mps
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"slices"
 	"sort"
 )
 
 // Step 2 walks the chain's sites left to right, keeping the distinct
-// prefixes drawn so far as nodes. At each site every node is contracted
-// with every candidate — m·dl·dr complex products per node — and that
-// work, which never touches the random source, runs on up to GOMAXPROCS
-// goroutines (forEach). The multinomial draws and the beam's selection
-// then consume its results on the caller's goroutine in node order, so
-// the random sequence, and every output, is the same at any core count.
+// prefixes drawn so far as nodes. A prefix's weight for candidate s is a
+// Hermitian form in the environment it leaves, so the total weight of
+// candidates 0..j is that form in the cumulative Gram matrix C_j
+// (site.forms). expand builds a site's forms once and draws each sample by
+// binary search over j, O(dl²·log m), on the caller's goroutine, in parent
+// order from the caller's rng. The tail argmax and the beam contract every
+// node with every candidate, m·dl·dr complex products per node; that work
+// never touches the random source and runs on up to GOMAXPROCS goroutines
+// (forEach), and the beam's selection consumes it in node order. So the
+// random sequence, and every output, is the same at any core count.
 //
-// The kernels below perform exactly the float operations of the plain
-// loops in reference_test.go, in the same order, so their results are
-// bit-identical to them (TestMatchesReference).
+// The contraction kernels below perform exactly the float operations of
+// the plain loops in reference_test.go, in the same order, so their
+// results are bit-identical to them (TestMatchesReference). The draws read
+// the reference's cumulative weights through another summation: bit for
+// bit at site 0, whose environment is [1], and within ~1e-13 of the total
+// weight elsewhere, so a draw could differ only where a uniform lands that
+// close to a boundary (TestDrawMatchesRunningSum).
 
 // node is one distinct prefix: the environment it leaves on the bond to
 // its right, its parent (an index into the previous site's nodes) and its
@@ -30,44 +39,37 @@ type node struct {
 	w      float64 // in a beam, the prefix's weight Σ_r |env[r]|²
 }
 
-// nodeBlock is how many nodes share one parallel weight pass before the
-// caller consumes their weights in order; it bounds the weight scratch at
-// nodeBlock·m floats.
+// nodeBlock is how many beams share one parallel weight pass before the
+// selection consumes their weights in order, which bounds the beam's
+// weight scratch at nodeBlock·m floats; expand polls done every nodeBlock
+// parents.
 const nodeBlock = 32
 
-// scratch holds the buffers a sampling or beam pass reuses at every site.
+// scratch holds the buffers a sampling or beam pass reuses at every site:
+// a beam block's weights or a site's cumulative forms, and the draws.
 type scratch struct {
-	w     []float64
+	f     []float64
 	draws []int32
 }
 
-// weights returns n floats of weight scratch.
-func (sc *scratch) weights(n int) []float64 {
-	if cap(sc.w) < n {
-		sc.w = make([]float64, n)
+// floats returns n floats of scratch.
+func (sc *scratch) floats(n int) []float64 {
+	if cap(sc.f) < n {
+		sc.f = make([]float64, n)
 	}
-	return sc.w[:n]
+	return sc.f[:n]
 }
 
-// Sample draws k configurations from p ∝ |trace value|² (perfect MPS
-// sampling) and returns the distinct ones. envCap bounds the number of
-// concurrently tracked distinct prefixes (0 = unlimited); when exceeded,
-// the lowest-count groups are dropped, which biases the search slightly
-// toward high-probability sequences — acceptable for a search heuristic.
-func (c *Chain) Sample(rng *rand.Rand, k, envCap int) []Sampled {
-	if c.norm2 <= 0 || k <= 0 {
-		return nil
-	}
-	levels, _ := c.draw(nil, rng, k, envCap, len(c.sites))
-	return sampled(levels)
-}
-
-// SampleBestTail draws k prefixes through sites 1..l−1 like Sample, but
-// completes each distinct prefix with the argmax over the last site's
-// physical index instead of a random draw. The amplitude of a completion
-// is the exact trace value, so the argmax is the best completion for that
-// prefix at no extra cost — a strict quality improvement over pure
-// sampling when the caller wants the maximum-|trace| configuration.
+// SampleBestTail draws k samples from p ∝ |trace value|² (perfect MPS
+// sampling) through sites 1..l−1 and completes each distinct prefix with
+// the argmax over the last site's physical index instead of a random draw.
+// The amplitude of a completion is the exact trace value, so the argmax is
+// the best completion for that prefix at no extra cost — a strict quality
+// improvement over pure sampling when the caller wants the maximum-|trace|
+// configuration. envCap bounds the number of concurrently tracked distinct
+// prefixes (0 = unlimited); when exceeded, the lowest-count groups are
+// dropped, which biases the search slightly toward high-probability
+// sequences — acceptable for a search heuristic.
 func (c *Chain) SampleBestTail(rng *rand.Rand, k, envCap int) []Sampled {
 	return c.SampleBestTailUntil(nil, rng, k, envCap)
 }
@@ -124,7 +126,7 @@ func (c *Chain) BeamUntil(done <-chan struct{}, width int) []Sampled {
 		worst := math.Inf(-1)
 		for lo := 0; lo < len(beams); lo += nodeBlock {
 			block := beams[lo:min(lo+nodeBlock, len(beams))]
-			ws := sc.weights(len(block) * m)
+			ws := sc.floats(len(block) * m)
 			if !forEach(done, len(block), func(j int) { st.weights(&block[j].env, ws[j*m:(j+1)*m]) }) {
 				return nil
 			}
@@ -191,53 +193,132 @@ func (c *Chain) draw(done <-chan struct{}, rng *rand.Rand, k, envCap, n int) ([]
 	return levels, true
 }
 
-// expand draws every parent's samples through site st. The parents'
-// weight passes run on the workers a block at a time; the caller then
-// draws each parent's count samples, in parent order, and emits one child
-// per distinct index drawn, in increasing index order. It reports false
-// if done was closed first.
+// expand draws every parent's samples through site st, on the caller's
+// goroutine: it builds the site's cumulative forms, then draws each
+// parent's count samples, in parent order, and emits one child per
+// distinct index drawn, in increasing index order. It polls done every
+// nodeBlock parents and reports false if it was closed.
 func (st *site) expand(done <-chan struct{}, rng *rand.Rand, parents []node, sc *scratch) ([]node, bool) {
-	m := st.m
+	forms := sc.floats(st.m * st.dl * st.dl)
+	st.forms(forms)
 	var next []node
-	for lo := 0; lo < len(parents); lo += nodeBlock {
-		block := parents[lo:min(lo+nodeBlock, len(parents))]
-		cum := sc.weights(len(block) * m)
-		if !forEach(done, len(block), func(i int) {
-			w := cum[i*m : (i+1)*m]
-			st.weights(&block[i].env, w)
-			acc := 0.0
-			for s, x := range w {
-				acc += x
-				w[s] = acc
-			}
-		}) {
+	for i := range parents {
+		if i%nodeBlock == 0 && closed(done) {
 			return nil, false
 		}
-		for i := range block {
-			p, c := &block[i], cum[i*m:(i+1)*m]
-			total := c[m-1]
-			if total <= 0 {
-				continue
-			}
-			draws := sc.draws[:0]
-			for range p.count {
-				j := sort.SearchFloat64s(c, rng.Float64()*total)
-				draws = append(draws, int32(min(j, m-1)))
-			}
-			slices.Sort(draws)
-			for a := 0; a < len(draws); {
-				b := a + 1
-				for b < len(draws) && draws[b] == draws[a] {
-					b++
-				}
-				s := draws[a]
-				next = append(next, node{env: st.contract(&p.env, int(s)), parent: int32(lo + i), s: s, count: b - a})
-				a = b
-			}
-			sc.draws = draws
+		p := &parents[i]
+		c := st.cdf(forms, &p.env)
+		total := c.at(st.m - 1)
+		if total <= 0 {
+			continue
 		}
+		draws := sc.draws[:0]
+		for range p.count {
+			draws = append(draws, int32(c.search(rng.Float64()*total)))
+		}
+		slices.Sort(draws)
+		for a := 0; a < len(draws); {
+			b := a + 1
+			for b < len(draws) && draws[b] == draws[a] {
+				b++
+			}
+			s := draws[a]
+			next = append(next, node{env: st.contract(&p.env, int(s)), parent: int32(i), s: s, count: b - a})
+			a = b
+		}
+		sc.draws = draws
 	}
 	return next, true
+}
+
+// forms fills f, m·dl² floats, with the site's cumulative Gram forms.
+// Candidate s's weight under an environment env, Σ_r |contract(env, s)[r]|²,
+// is Σ_{l,l'} env[l]·conj(env[l'])·G_s[l][l'] with the Gram matrix
+// G_s[l][l'] = Σ_r data[s,l,r]·conj(data[s,l',r]), so C_j = Σ_{s≤j} G_s
+// read at env is the total weight of candidates 0..j (cdf). The dl² floats
+// from f[j·dl²] pack C_j's real diagonal, then the real and imaginary parts
+// of each entry l < l' in order. Each G_s[l][l] is summed as weights sums a
+// candidate's weight, so at dl = 1 the forms are the running sums of
+// weights at env [1], bit for bit.
+func (st *site) forms(f []float64) {
+	dl, dr, n := st.dl, st.dr, st.dl*st.dl
+	var acc [16]float64
+	for s := 0; s < st.m; s++ {
+		b := st.data[s*dl*dr : (s+1)*dl*dr]
+		for l := 0; l < dl; l++ {
+			g := 0.0
+			for _, x := range b[l*dr : (l+1)*dr] {
+				g += abs2(x)
+			}
+			acc[l] += g
+		}
+		k := dl
+		for l := 0; l < dl; l++ {
+			for l2 := l + 1; l2 < dl; l2++ {
+				var g complex128
+				for r := 0; r < dr; r++ {
+					g += b[l*dr+r] * cmplx.Conj(b[l2*dr+r])
+				}
+				acc[k] += real(g)
+				acc[k+1] += imag(g)
+				k += 2
+			}
+		}
+		copy(f[s*n:(s+1)*n], acc[:n])
+	}
+}
+
+// cdf is the cumulative weight of a site's candidates under one prefix
+// environment, read from the site's forms.
+type cdf struct {
+	forms []float64   // m packed forms of n floats (site.forms)
+	n     int         // dl²
+	coef  [16]float64 // what each packed float contributes at the environment
+}
+
+// cdf returns the cumulative weights at env over forms: the coefficient of
+// a diagonal entry is |env[l]|², and those of the real and imaginary parts
+// of entry (l, l') are 2·Re and −2·Im of env[l]·conj(env[l']), which adds
+// each off-diagonal entry and its conjugate.
+func (st *site) cdf(forms []float64, env *[4]complex128) cdf {
+	c := cdf{forms: forms, n: st.dl * st.dl}
+	for l := 0; l < st.dl; l++ {
+		c.coef[l] = abs2(env[l])
+	}
+	k := st.dl
+	for l := 0; l < st.dl; l++ {
+		for l2 := l + 1; l2 < st.dl; l2++ {
+			p := env[l] * cmplx.Conj(env[l2])
+			c.coef[k], c.coef[k+1] = 2*real(p), -2*imag(p)
+			k += 2
+		}
+	}
+	return c
+}
+
+// at returns the total weight of candidates 0..j.
+func (c *cdf) at(j int) float64 {
+	x := 0.0
+	for i, f := range c.forms[j*c.n : (j+1)*c.n] {
+		x += c.coef[i] * f
+	}
+	return x
+}
+
+// search returns the first candidate j whose cumulative weight reaches u —
+// the index sort.SearchFloat64s finds over running sums — or the last
+// candidate if none before it does.
+func (c *cdf) search(u float64) int {
+	lo, hi := 0, len(c.forms)/c.n-1
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if c.at(h) < u {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // sampled returns one Sampled per node of the last level, its indices
