@@ -32,6 +32,13 @@ type Chain struct {
 // per-site candidate matrix lists. len(siteMats) ≥ 1; each site must be
 // non-empty.
 func Build(target qmat.M2, siteMats [][]qmat.M2) *Chain {
+	c := newChain(target, siteMats)
+	c.canonicalize()
+	return c
+}
+
+// newChain fills the trace-value MPS's sites, before canonicalization.
+func newChain(target qmat.M2, siteMats [][]qmat.M2) *Chain {
 	l := len(siteMats)
 	if l == 0 {
 		panic("mps: no sites")
@@ -45,7 +52,6 @@ func Build(target qmat.M2, siteMats [][]qmat.M2) *Chain {
 			st.data[s] = qmat.Trace(qmat.Mul(mm, ud))
 		}
 		c.sites[0] = st
-		c.canonicalize()
 		return c
 	}
 	for i, ms := range siteMats {
@@ -88,7 +94,6 @@ func Build(target qmat.M2, siteMats [][]qmat.M2) *Chain {
 			c.sites[i] = st
 		}
 	}
-	c.canonicalize()
 	return c
 }
 

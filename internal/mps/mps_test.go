@@ -1,11 +1,13 @@
 package mps
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gates"
 	"repro/internal/qmat"
 )
 
@@ -64,6 +66,96 @@ func randomSites(rng *rand.Rand, dims ...int) [][]qmat.M2 {
 		}
 	}
 	return sites
+}
+
+// trasynSites returns n sites that each draw from the T ≤ maxT
+// enumeration, as trasyn's chains do.
+func trasynSites(maxT, n int) [][]qmat.M2 {
+	es := gates.Shared(maxT).Collect(0, maxT)
+	mats := make([]qmat.M2, len(es))
+	for i, e := range es {
+		mats[i] = e.M
+	}
+	sites := make([][]qmat.M2, n)
+	for i := range sites {
+		sites[i] = mats
+	}
+	return sites
+}
+
+// sameChain describes the first difference between two chains, compared
+// bit for bit — every site's shape, the IEEE-754 bits of the real and
+// imaginary part of every element, and norm² — or returns "" if there is
+// none.
+func sameChain(got, want *Chain) string {
+	if len(got.sites) != len(want.sites) {
+		return fmt.Sprintf("%d sites, want %d", len(got.sites), len(want.sites))
+	}
+	for i, g := range got.sites {
+		w := want.sites[i]
+		if g.m != w.m || g.dl != w.dl || g.dr != w.dr || len(g.data) != len(w.data) {
+			return fmt.Sprintf("site %d is m %d, %d×%d with %d elements; want m %d, %d×%d with %d",
+				i, g.m, g.dl, g.dr, len(g.data), w.m, w.dl, w.dr, len(w.data))
+		}
+		for j, x := range g.data {
+			y := w.data[j]
+			if math.Float64bits(real(x)) != math.Float64bits(real(y)) ||
+				math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+				return fmt.Sprintf("site %d, element %d is %v, want %v", i, j, x, y)
+			}
+		}
+	}
+	if math.Float64bits(got.norm2) != math.Float64bits(want.norm2) {
+		return fmt.Sprintf("norm² is %v, want %v", got.norm2, want.norm2)
+	}
+	return ""
+}
+
+// TestCanonicalizeMatchesReference: Build leaves the chain the linalg
+// sweep of reference_test.go leaves, bit for bit, on trasyn's chains — 1
+// to 4 sites over the T ≤ 5 enumeration and 3 sites over T ≤ 7, each
+// toward several Haar targets — and on random chains that take the
+// sweep's two rare branches: a site with fewer rows than its left bond
+// (m·dr < dl), which shrinks that bond, and a rank-deficient site
+// (repeated candidates), whose basis orthoFill completes.
+func TestCanonicalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type chainCase struct {
+		name  string
+		sites [][]qmat.M2
+	}
+	var cases []chainCase
+	for _, c := range []struct{ maxT, n int }{{5, 1}, {5, 2}, {5, 3}, {5, 4}, {7, 3}} {
+		cases = append(cases, chainCase{fmt.Sprintf("T≤%d, %d sites", c.maxT, c.n), trasynSites(c.maxT, c.n)})
+	}
+	// A last site with m < 4 shrinks its left bond to m, which can leave
+	// the site to its left short as well.
+	for _, dims := range [][]int{{3, 2, 1}, {2, 1, 1}, {4, 3, 2}, {3, 1, 4, 2}, {1, 2, 1, 3}} {
+		cases = append(cases, chainCase{fmt.Sprintf("random %v", dims), randomSites(rng, dims...)})
+	}
+	a, b := qmat.HaarRandom(rng), qmat.HaarRandom(rng)
+	repeat := func(ms ...qmat.M2) []qmat.M2 {
+		var out []qmat.M2
+		for range 3 {
+			out = append(out, ms...)
+		}
+		return out
+	}
+	cases = append(cases,
+		chainCase{"last site of rank 1", append(randomSites(rng, 3, 4), repeat(a, a))},
+		chainCase{"last site of rank 2", append(randomSites(rng, 3, 4), repeat(a, b))},
+		chainCase{"middle site of rank 1 over a bond of 1", [][]qmat.M2{randomSites(rng, 3)[0], repeat(b, b), randomSites(rng, 1)[0]}},
+	)
+	for _, c := range cases {
+		for range 3 {
+			u := qmat.HaarRandom(rng)
+			want := newChain(u, c.sites)
+			want.refCanonicalize()
+			if d := sameChain(Build(u, c.sites), want); d != "" {
+				t.Errorf("%s: %s", c.name, d)
+			}
+		}
+	}
 }
 
 // bruteTrace computes Tr(U†·M_{s1}···M_{sl}) directly.

@@ -4,7 +4,61 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/linalg"
 )
+
+// refCanonicalize is the plain right-to-left sweep: each site matricized
+// into a linalg.Matrix and factored by linalg.LQ, the Gram–Schmidt QR of
+// its conjugate transpose. canonicalize must perform the same float
+// operations in the same order, so the two leave bit-identical chains
+// (TestCanonicalizeMatchesReference).
+func (c *Chain) refCanonicalize() {
+	for i := len(c.sites) - 1; i >= 1; i-- {
+		st := c.sites[i]
+		// Matricize as (dl) × (m·dr).
+		mat := linalg.New(st.dl, st.m*st.dr)
+		for s := 0; s < st.m; s++ {
+			for l := 0; l < st.dl; l++ {
+				for r := 0; r < st.dr; r++ {
+					mat.Set(l, s*st.dr+r, st.data[s*st.dl*st.dr+l*st.dr+r])
+				}
+			}
+		}
+		lm, q := linalg.LQ(mat)
+		newDl := q.Rows
+		ns := site{m: st.m, dl: newDl, dr: st.dr, data: make([]complex128, st.m*newDl*st.dr)}
+		for s := 0; s < st.m; s++ {
+			for l := 0; l < newDl; l++ {
+				for r := 0; r < st.dr; r++ {
+					ns.data[s*newDl*st.dr+l*st.dr+r] = q.At(l, s*st.dr+r)
+				}
+			}
+		}
+		c.sites[i] = ns
+		// Absorb L (dl_prev_right × newDl) into site i-1's right bond.
+		prev := c.sites[i-1]
+		np := site{m: prev.m, dl: prev.dl, dr: newDl, data: make([]complex128, prev.m*prev.dl*newDl)}
+		for s := 0; s < prev.m; s++ {
+			for l := 0; l < prev.dl; l++ {
+				for rn := 0; rn < newDl; rn++ {
+					var acc complex128
+					for r := 0; r < prev.dr; r++ {
+						acc += prev.data[s*prev.dl*prev.dr+l*prev.dr+r] * lm.At(r, rn)
+					}
+					np.data[s*prev.dl*newDl+l*newDl+rn] = acc
+				}
+			}
+		}
+		c.sites[i-1] = np
+	}
+	// Total norm² from the (non-canonical) first site.
+	n := 0.0
+	for _, v := range c.sites[0].data {
+		n += real(v)*real(v) + imag(v)*imag(v)
+	}
+	c.norm2 = n
+}
 
 // The reference sampler: the straightforward loops the kernels in
 // sample.go replace, kept here as the only copy. Every kernel must do the
