@@ -11,7 +11,9 @@
 package mps
 
 import (
-	"repro/internal/linalg"
+	"math"
+	"math/cmplx"
+
 	"repro/internal/qmat"
 )
 
@@ -98,45 +100,13 @@ func newChain(target qmat.M2, siteMats [][]qmat.M2) *Chain {
 }
 
 // canonicalize sweeps right to left, leaving every site but the first
-// right-canonical (Σ_{s,r} B[s,l,r]·conj(B[s,l',r]) = δ).
+// right-canonical (Σ_{s,r} B[s,l,r]·conj(B[s,l',r]) = δ). Each site is
+// factored in its own data and R† is absorbed into its left neighbour's,
+// so the sweep allocates nothing.
 func (c *Chain) canonicalize() {
 	for i := len(c.sites) - 1; i >= 1; i-- {
-		st := c.sites[i]
-		// Matricize as (dl) × (m·dr).
-		mat := linalg.New(st.dl, st.m*st.dr)
-		for s := 0; s < st.m; s++ {
-			for l := 0; l < st.dl; l++ {
-				for r := 0; r < st.dr; r++ {
-					mat.Set(l, s*st.dr+r, st.data[s*st.dl*st.dr+l*st.dr+r])
-				}
-			}
-		}
-		lm, q := linalg.LQ(mat)
-		newDl := q.Rows
-		ns := site{m: st.m, dl: newDl, dr: st.dr, data: make([]complex128, st.m*newDl*st.dr)}
-		for s := 0; s < st.m; s++ {
-			for l := 0; l < newDl; l++ {
-				for r := 0; r < st.dr; r++ {
-					ns.data[s*newDl*st.dr+l*st.dr+r] = q.At(l, s*st.dr+r)
-				}
-			}
-		}
-		c.sites[i] = ns
-		// Absorb L (dl_prev_right × newDl) into site i-1's right bond.
-		prev := c.sites[i-1]
-		np := site{m: prev.m, dl: prev.dl, dr: newDl, data: make([]complex128, prev.m*prev.dl*newDl)}
-		for s := 0; s < prev.m; s++ {
-			for l := 0; l < prev.dl; l++ {
-				for rn := 0; rn < newDl; rn++ {
-					var acc complex128
-					for r := 0; r < prev.dr; r++ {
-						acc += prev.data[s*prev.dl*prev.dr+l*prev.dr+r] * lm.At(r, rn)
-					}
-					np.data[s*prev.dl*newDl+l*newDl+rn] = acc
-				}
-			}
-		}
-		c.sites[i-1] = np
+		r, k := c.sites[i].orthonormalize()
+		c.sites[i-1].absorb(&r, k)
 	}
 	// Total norm² from the (non-canonical) first site.
 	n := 0.0
@@ -144,6 +114,184 @@ func (c *Chain) canonicalize() {
 		n += real(v)*real(v) + imag(v)*imag(v)
 	}
 	c.norm2 = n
+}
+
+// The sweep factors a site's dl × m·dr matricization A[l, s·dr+r] =
+// B[s,l,r] as A = R†·Q, Q with orthonormal rows, by the modified
+// Gram–Schmidt QR of A† with one reorthogonalization pass. Column l of A†
+// is conj(B[·,l,·]), a vector over t = s·dr + r that the site stores at
+// stride dl·dr; orthonormalize conjugates the data in place and runs the
+// QR on those strided vectors. Every dot product and norm is summed in t
+// order, and every float operation is the one the plain QR of
+// reference_test.go performs on a copied column, so the chains are
+// bit-identical to its (TestCanonicalizeMatchesReference).
+
+// dot returns Σ_t conj(v_i[t])·v_j[t].
+func (st *site) dot(i, j int) complex128 {
+	var dot complex128
+	d, dr := st.data, st.dr
+	for o := 0; o < len(d); o += st.dl * dr {
+		x, y := d[o+i*dr:o+i*dr+dr], d[o+j*dr:o+j*dr+dr]
+		for r, v := range y {
+			dot += cmplx.Conj(x[r]) * v
+		}
+	}
+	return dot
+}
+
+// subtractDot sets v_j ← v_j − a·v_i and returns Σ_t conj(v_n[t])·v_j[t]
+// over the new v_j, in one pass: each element is subtracted from before it
+// is summed, as in two separate passes.
+func (st *site) subtractDot(j int, a complex128, i, n int) complex128 {
+	var dot complex128
+	d, dr := st.data, st.dr
+	for o := 0; o < len(d); o += st.dl * dr {
+		x, y, z := d[o+i*dr:o+i*dr+dr], d[o+j*dr:o+j*dr+dr], d[o+n*dr:o+n*dr+dr]
+		for r := range y {
+			y[r] -= a * x[r]
+			dot += cmplx.Conj(z[r]) * y[r]
+		}
+	}
+	return dot
+}
+
+// subtractSumSquares sets v_j ← v_j − a·v_i and returns Σ_t |v_j[t]|² over
+// the new v_j.
+func (st *site) subtractSumSquares(j int, a complex128, i int) float64 {
+	n := 0.0
+	d, dr := st.data, st.dr
+	for o := 0; o < len(d); o += st.dl * dr {
+		x, y := d[o+i*dr:o+i*dr+dr], d[o+j*dr:o+j*dr+dr]
+		for r := range y {
+			y[r] -= a * x[r]
+			n += real(y[r])*real(y[r]) + imag(y[r])*imag(y[r])
+		}
+	}
+	return n
+}
+
+// sumSquares returns Σ_t |v_j[t]|².
+func (st *site) sumSquares(j int) float64 {
+	n := 0.0
+	d, dr := st.data, st.dr
+	for o := j * dr; o < len(d); o += st.dl * dr {
+		for _, x := range d[o : o+dr] {
+			n += real(x)*real(x) + imag(x)*imag(x)
+		}
+	}
+	return n
+}
+
+// project removes from v_j its components along the orthonormal v_0 ..
+// v_{n−1}, in two passes, adds what it removed along v_i to coeffs[i]
+// when coeffs is not nil, and returns Σ_t |v_j[t]|² of what is left. Each
+// subtraction shares its pass over v_j with the next dot product, or with
+// the final norm.
+func (st *site) project(j, n int, coeffs *[4]complex128) float64 {
+	if n == 0 {
+		return st.sumSquares(j)
+	}
+	dot := st.dot(0, j)
+	for step := 0; step < 2*n-1; step++ {
+		if coeffs != nil {
+			coeffs[step%n] += dot
+		}
+		dot = st.subtractDot(j, dot, step%n, (step+1)%n)
+	}
+	if coeffs != nil {
+		coeffs[n-1] += dot
+	}
+	return st.subtractSumSquares(j, dot, n-1)
+}
+
+// orthonormalize replaces the site with Q, its right-canonical factor,
+// and returns R (k × dl, upper triangular), k = min(m·dr, dl); a site
+// shorter than its left bond leaves with dl = k.
+func (st *site) orthonormalize() (rm [4][4]complex128, k int) {
+	d, dl, dr := st.data, st.dl, st.dr
+	k = min(st.m*dr, dl)
+	for t, x := range d {
+		d[t] = cmplx.Conj(x)
+	}
+	for j := 0; j < dl; j++ {
+		var coeffs [4]complex128
+		n := min(j, k) // the orthonormal vectors so far
+		nrm := math.Sqrt(st.project(j, n, &coeffs))
+		for i := 0; i < n; i++ {
+			rm[i][j] = coeffs[i]
+		}
+		if j >= k {
+			continue // v_j lies in their span; it is dropped below
+		}
+		if nrm > 1e-14 {
+			for o := j * dr; o < len(d); o += dl * dr {
+				for r := o; r < o+dr; r++ {
+					d[r] /= complex(nrm, 0)
+				}
+			}
+			rm[j][j] = complex(nrm, 0)
+		} else {
+			st.fill(j)
+		}
+	}
+	// Q's rows are the conjugated vectors 0..k−1.
+	for s := 0; s < st.m; s++ {
+		for l := 0; l < k; l++ {
+			for r := 0; r < dr; r++ {
+				d[(s*k+l)*dr+r] = cmplx.Conj(d[(s*dl+l)*dr+r])
+			}
+		}
+	}
+	st.data, st.dl = d[:st.m*k*dr], k
+	return rm, k
+}
+
+// fill replaces a deficient v_j with a unit vector orthogonal to v_0 ..
+// v_{j−1}: the first canonical basis vector that keeps a squared norm
+// above 1e-8 once projected off them, scaled by its inverse norm.
+func (st *site) fill(j int) {
+	d, dl, dr := st.data, st.dl, st.dr
+	for b := 0; b < st.m*dr; b++ {
+		for o := j * dr; o < len(d); o += dl * dr {
+			clear(d[o : o+dr])
+		}
+		d[(b/dr*dl+j)*dr+b%dr] = 1
+		if nrm := st.project(j, j, nil); nrm > 1e-8 {
+			sc := complex(1/math.Sqrt(nrm), 0)
+			for o := j * dr; o < len(d); o += dl * dr {
+				for r := o; r < o+dr; r++ {
+					d[r] *= sc
+				}
+			}
+			return
+		}
+	}
+	panic("mps: cannot extend orthonormal basis")
+}
+
+// absorb multiplies the site's right bond by R† (k × dr → the new right
+// bond dimension k), row by row in place: each new row is written over the
+// start of its old one after the old one has been read.
+func (st *site) absorb(rm *[4][4]complex128, k int) {
+	d, dr := st.data, st.dr
+	var lm [4][4]complex128 // L = R†
+	for r := 0; r < dr; r++ {
+		for rn := 0; rn < k; rn++ {
+			lm[r][rn] = cmplx.Conj(rm[rn][r])
+		}
+	}
+	var row [4]complex128
+	for n := 0; n < st.m*st.dl; n++ {
+		copy(row[:dr], d[n*dr:(n+1)*dr])
+		for rn := 0; rn < k; rn++ {
+			var acc complex128
+			for r := 0; r < dr; r++ {
+				acc += row[r] * lm[r][rn]
+			}
+			d[n*k+rn] = acc
+		}
+	}
+	st.data, st.dr = d[:st.m*st.dl*k], k
 }
 
 // Sampled is one distinct sampled configuration.
