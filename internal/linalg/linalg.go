@@ -1,8 +1,8 @@
-// Package linalg provides the dense complex linear algebra the tensor
-// network machinery needs: matrix products, Householder QR/LQ, and a
-// one-sided Jacobi SVD. Everything is hand-rolled on complex128 with no
-// dependencies; sizes in this repository are small (bond dimensions ≤ 4,
-// physical dimensions up to ~10^5 on one side only).
+// Package linalg provides dense complex linear algebra on complex128:
+// matrix products, Gram–Schmidt QR/LQ and a one-sided Jacobi SVD. It is
+// only a test reference now, and no binary imports it: internal/mps
+// canonicalizes its chains in place, and its tests hold that sweep to
+// LQ's results bit for bit (TestCanonicalizeMatchesReference).
 package linalg
 
 import (

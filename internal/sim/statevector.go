@@ -1,8 +1,10 @@
 // Package sim provides the simulation substrate for the evaluation:
-// a statevector simulator, a density-matrix simulator with depolarizing
-// noise, Monte-Carlo Pauli-twirl trajectories for larger circuits, and
-// Pauli-transfer-matrix (PTM) composition for exact single-qubit channel
-// arithmetic (used in the logical-vs-synthesis-error study, RQ2).
+// a statevector simulator, Monte-Carlo Pauli-twirl trajectories for
+// larger circuits, and Pauli-transfer-matrix (PTM) composition for exact
+// single-qubit channel arithmetic (used in the logical-vs-synthesis-error
+// study, RQ2). The exact density-matrix simulator with depolarizing noise
+// lives in density_test.go, as the oracle the trajectory estimators are
+// tested against.
 package sim
 
 import (
