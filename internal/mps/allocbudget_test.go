@@ -12,8 +12,8 @@ import (
 
 // TestAllocBudget is Build's allocation gate: a trasyn chain over the
 // T ≤ 5 enumeration, with 3 and with 4 sites, must stay within the bytes
-// and allocations per op in testdata/alloc_budget.json. Build's cost was
-// its bytes, which an allocation count cannot see, so the gate reads both.
+// and allocations per op in testdata/alloc_budget.json. A copy of every
+// site costs bytes, not allocations, so the gate reads both.
 // Like the engines' gates it runs only when PERF_SMOKE=1 (the CI
 // perf-smoke job), and not under -race, where counts are not comparable.
 func TestAllocBudget(t *testing.T) {

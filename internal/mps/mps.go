@@ -122,9 +122,10 @@ func (c *Chain) canonicalize() {
 // is conj(B[·,l,·]), a vector over t = s·dr + r that the site stores at
 // stride dl·dr; orthonormalize conjugates the data in place and runs the
 // QR on those strided vectors. Every dot product and norm is summed in t
-// order, and every float operation is the one the plain QR of
-// reference_test.go performs on a copied column, so the chains are
-// bit-identical to its (TestCanonicalizeMatchesReference).
+// order, and every float operation is the one linalg.QR performs on a
+// copied column, in the same order, so the chains are bit-identical to
+// those of the linalg sweep in reference_test.go
+// (TestCanonicalizeMatchesReference).
 
 // dot returns Σ_t conj(v_i[t])·v_j[t].
 func (st *site) dot(i, j int) complex128 {
@@ -139,35 +140,30 @@ func (st *site) dot(i, j int) complex128 {
 	return dot
 }
 
-// subtractDot sets v_j ← v_j − a·v_i and returns Σ_t conj(v_n[t])·v_j[t]
-// over the new v_j, in one pass: each element is subtracted from before it
-// is summed, as in two separate passes.
-func (st *site) subtractDot(j int, a complex128, i, n int) complex128 {
-	var dot complex128
-	d, dr := st.data, st.dr
-	for o := 0; o < len(d); o += st.dl * dr {
-		x, y, z := d[o+i*dr:o+i*dr+dr], d[o+j*dr:o+j*dr+dr], d[o+n*dr:o+n*dr+dr]
-		for r := range y {
-			y[r] -= a * x[r]
-			dot += cmplx.Conj(z[r]) * y[r]
-		}
-	}
-	return dot
-}
-
-// subtractSumSquares sets v_j ← v_j − a·v_i and returns Σ_t |v_j[t]|² over
-// the new v_j.
-func (st *site) subtractSumSquares(j int, a complex128, i int) float64 {
-	n := 0.0
+// subtract sets v_j ← v_j − a·v_i.
+func (st *site) subtract(j int, a complex128, i int) {
 	d, dr := st.data, st.dr
 	for o := 0; o < len(d); o += st.dl * dr {
 		x, y := d[o+i*dr:o+i*dr+dr], d[o+j*dr:o+j*dr+dr]
 		for r := range y {
 			y[r] -= a * x[r]
-			n += real(y[r])*real(y[r]) + imag(y[r])*imag(y[r])
 		}
 	}
-	return n
+}
+
+// project removes from v_j its components along the orthonormal v_0 ..
+// v_{n−1}, in two passes, and adds what it removed along v_i to coeffs[i]
+// when coeffs is not nil.
+func (st *site) project(j, n int, coeffs *[4]complex128) {
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			dot := st.dot(i, j)
+			if coeffs != nil {
+				coeffs[i] += dot
+			}
+			st.subtract(j, dot, i)
+		}
+	}
 }
 
 // sumSquares returns Σ_t |v_j[t]|².
@@ -182,28 +178,6 @@ func (st *site) sumSquares(j int) float64 {
 	return n
 }
 
-// project removes from v_j its components along the orthonormal v_0 ..
-// v_{n−1}, in two passes, adds what it removed along v_i to coeffs[i]
-// when coeffs is not nil, and returns Σ_t |v_j[t]|² of what is left. Each
-// subtraction shares its pass over v_j with the next dot product, or with
-// the final norm.
-func (st *site) project(j, n int, coeffs *[4]complex128) float64 {
-	if n == 0 {
-		return st.sumSquares(j)
-	}
-	dot := st.dot(0, j)
-	for step := 0; step < 2*n-1; step++ {
-		if coeffs != nil {
-			coeffs[step%n] += dot
-		}
-		dot = st.subtractDot(j, dot, step%n, (step+1)%n)
-	}
-	if coeffs != nil {
-		coeffs[n-1] += dot
-	}
-	return st.subtractSumSquares(j, dot, n-1)
-}
-
 // orthonormalize replaces the site with Q, its right-canonical factor,
 // and returns R (k × dl, upper triangular), k = min(m·dr, dl); a site
 // shorter than its left bond leaves with dl = k.
@@ -216,14 +190,14 @@ func (st *site) orthonormalize() (rm [4][4]complex128, k int) {
 	for j := 0; j < dl; j++ {
 		var coeffs [4]complex128
 		n := min(j, k) // the orthonormal vectors so far
-		nrm := math.Sqrt(st.project(j, n, &coeffs))
+		st.project(j, n, &coeffs)
 		for i := 0; i < n; i++ {
 			rm[i][j] = coeffs[i]
 		}
 		if j >= k {
 			continue // v_j lies in their span; it is dropped below
 		}
-		if nrm > 1e-14 {
+		if nrm := math.Sqrt(st.sumSquares(j)); nrm > 1e-14 {
 			for o := j * dr; o < len(d); o += dl * dr {
 				for r := o; r < o+dr; r++ {
 					d[r] /= complex(nrm, 0)
@@ -256,7 +230,8 @@ func (st *site) fill(j int) {
 			clear(d[o : o+dr])
 		}
 		d[(b/dr*dl+j)*dr+b%dr] = 1
-		if nrm := st.project(j, j, nil); nrm > 1e-8 {
+		st.project(j, j, nil)
+		if nrm := st.sumSquares(j); nrm > 1e-8 {
 			sc := complex(1/math.Sqrt(nrm), 0)
 			for o := j * dr; o < len(d); o += dl * dr {
 				for r := o; r < o+dr; r++ {
@@ -269,9 +244,9 @@ func (st *site) fill(j int) {
 	panic("mps: cannot extend orthonormal basis")
 }
 
-// absorb multiplies the site's right bond by R† (k × dr → the new right
-// bond dimension k), row by row in place: each new row is written over the
-// start of its old one after the old one has been read.
+// absorb multiplies the site's right bond by L = R† (dr × k), which leaves
+// it with right bond k, row by row in place: each new row is written over
+// the start of its old one after the old one has been read.
 func (st *site) absorb(rm *[4][4]complex128, k int) {
 	d, dr := st.data, st.dr
 	var lm [4][4]complex128 // L = R†

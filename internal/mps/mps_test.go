@@ -342,15 +342,15 @@ func TestBestHelper(t *testing.T) {
 // BenchmarkBuild: one trasyn chain built and canonicalized toward a Haar
 // target, over the T ≤ 5 enumeration with 2, 3 and 4 sites (the trasyn
 // backend's default table) and over T ≤ 10 with 3 sites (the paper's m,
-// 73,680 candidates). Run it with -benchmem: Build's cost is its bytes.
+// 73,680 candidates). Run it with -benchmem; TestAllocBudget gates the
+// bytes and allocations it reports.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct{ maxT, n int }{{5, 2}, {5, 3}, {5, 4}, {10, 3}} {
 		b.Run(fmt.Sprintf("T%d/sites%d", c.maxT, c.n), func(b *testing.B) {
 			sites := trasynSites(c.maxT, c.n)
 			u := qmat.HaarRandom(rand.New(rand.NewSource(18)))
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				Build(u, sites)
 			}
 		})
