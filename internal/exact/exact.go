@@ -168,34 +168,11 @@ const uncheckedSafeLimit = 1 << 58
 // below 2^58, so below 2^61, and the reduce intermediates stay below 2^62.
 const unitaryCheckLimit = 1 << 29
 
-// maxAbsCoeff returns the largest coefficient magnitude of u (saturating
-// at MaxInt64 for MinInt64 coefficients).
-func maxAbsCoeff(u ring.UMat) int64 {
-	m := int64(0)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			e := u.E[i][j]
-			for _, c := range [4]int64{e.A, e.B, e.C, e.D} {
-				if c == -1<<63 {
-					return 1<<63 - 1
-				}
-				if c < 0 {
-					c = -c
-				}
-				if c > m {
-					m = c
-				}
-			}
-		}
-	}
-	return m
-}
-
 // mulReducer returns reducersU[j]·w in int64 arithmetic, or ok=false
 // when w's coefficients are too large for that product to be proven free
 // of overflow; the caller then continues in big arithmetic.
 func mulReducer(j int, w ring.UMat) (ring.UMat, bool) {
-	if maxAbsCoeff(w) >= uncheckedSafeLimit {
+	if w.MaxAbsCoeff() >= uncheckedSafeLimit {
 		return ring.UMat{}, false
 	}
 	return reducersU[j].Mul(w), true
@@ -253,7 +230,7 @@ func SetFastPath(enabled bool) bool {
 func Synthesize(m BUMat, tab *gates.Table) (gates.Sequence, error) {
 	u, small := m.ToUMat()
 	small = small && fastPathEnabled
-	if small && maxAbsCoeff(u) < unitaryCheckLimit {
+	if small && u.MaxAbsCoeff() < unitaryCheckLimit {
 		if !isUnitarySmall(u) {
 			return nil, ErrNotUnitary
 		}

@@ -20,7 +20,9 @@ type Clifford struct {
 var (
 	cliffordOnce  sync.Once
 	cliffordGroup []Clifford
-	cliffordIdx   map[ring.Key]int
+	// cliffordAt maps a Bloch matrix's permCode to its Clifford's index
+	// in cliffordGroup, or −1.
+	cliffordAt [36]int8
 )
 
 // CliffordGroup returns the 24 Clifford operators, ordered with the identity
@@ -32,11 +34,11 @@ func CliffordGroup() []Clifford {
 }
 
 // CliffordIndex returns the index into CliffordGroup of the operator equal
-// to u up to global phase, or -1 if u is not a Clifford.
+// to u up to global phase, or -1 if u is not a Clifford. It reads u's
+// normal form as Table.Find does, with a budget of no T gate.
 func CliffordIndex(u ring.UMat) int {
-	cliffordOnce.Do(buildCliffords)
-	if i, ok := cliffordIdx[u.CanonicalKey()]; ok {
-		return i
+	if _, _, c, ok := address(&u, 0); ok {
+		return c
 	}
 	return -1
 }
@@ -115,9 +117,17 @@ func buildCliffords() {
 		}
 		return lessKey(a.Key, b.Key)
 	})
-	cliffordIdx = make(map[ring.Key]int, 24)
+	for i := range cliffordAt {
+		cliffordAt[i] = -1
+	}
 	for i, c := range cliffordGroup {
-		cliffordIdx[c.Key] = i
+		var x bloch
+		k, ok := x.set(&c.U)
+		code := x.permCode()
+		if !ok || k != 0 || code < 0 || cliffordAt[code] >= 0 {
+			panic("gates: the Cliffords' Bloch matrices are not 24 distinct signed permutations")
+		}
+		cliffordAt[code] = int8(i)
 	}
 }
 

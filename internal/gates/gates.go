@@ -155,15 +155,18 @@ func (s Sequence) Matrix() qmat.M2 {
 	return m
 }
 
-// UMat returns the exact product of the sequence while its coefficients
-// fit in int64. Every gate but H only permutes and negates coefficients,
-// and each H at most doubles the largest, so a sequence with at most 61 H
-// gates is always exact. Past int64 the coefficients wrap silently: for a
-// word of 260 H·T^±1 pairs (K = 131) the product differs from
-// exact.SequenceBU's. Use exact.SequenceBU for long sequences.
+// UMat returns the exact product of the sequence in int64 coefficients.
+// Every gate but H only permutes and negates coefficients, and each H at
+// most doubles the largest, so a sequence with at most 61 H gates is
+// always exact. UMat checks the largest coefficient before each H and
+// panics from 2^61 on, where the next H could leave int64 (a word of 260
+// H·T^±1 pairs gets there); exact.SequenceBU multiplies any sequence.
 func (s Sequence) UMat() ring.UMat {
 	m := ring.UIdentity()
 	for _, g := range s {
+		if g == H && m.MaxAbsCoeff() >= 1<<61 {
+			panic("gates: Sequence.UMat coefficients reached 2^61, past which H can overflow int64; use exact.SequenceBU")
+		}
 		g.RightMul(&m)
 	}
 	return m

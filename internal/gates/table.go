@@ -42,57 +42,14 @@ func (e *Entry) AppendSequence(s Sequence) Sequence {
 	return s
 }
 
-// Ref locates an Entry inside a Table.
-type Ref struct {
-	Level uint8
-	Idx   int32
-}
-
 // Table is the step-0 enumeration: all unique Clifford+T operators with
-// minimal T count ≤ MaxT, indexed by canonical (phase-invariant) key.
-// It doubles as the equivalence lookup table used by trasyn's
-// post-processing and by exact synthesis.
+// minimal T count ≤ MaxT, in Matsumoto–Amano normal form. It doubles as
+// the equivalence lookup table used by trasyn's post-processing and by
+// exact synthesis: Find reads an operator's normal form off its Bloch
+// matrix, and with it the entry's position (see address).
 type Table struct {
 	MaxT   int
 	Levels [][]Entry // Levels[t] = operators with minimal T count exactly t
-	// lookup indexes the levels of the table it was built for; in a view
-	// (see Shared) those include levels above MaxT, which Find skips.
-	lookup map[tableKey]Ref
-}
-
-// tableKey is the lookup index's key: a canonical phase-invariant
-// fingerprint like ring.Key, with one byte per coefficient instead of
-// four. No enumerated operator has a coefficient above 3 in magnitude at
-// T ≤ 5, or above 11 at T ≤ 12.
-type tableKey struct {
-	k int8
-	c [16]int8
-}
-
-// keyOf returns u's table key, ring.UMat.CanonicalKey narrowed to one
-// byte per coefficient; narrowing keeps the order of values within ±127,
-// so the rotation it picks is the same. It reports false when a
-// coefficient or the denominator exponent falls outside ±127, so such a
-// matrix misses instead of aliasing an entry after truncation.
-func keyOf(u ring.UMat) (tableKey, bool) {
-	if u.K < 0 || u.K > 127 {
-		return tableKey{}, false
-	}
-	for _, row := range u.E {
-		for _, z := range row {
-			for _, v := range [4]int64{z.A, z.B, z.C, z.D} {
-				if v < -127 || v > 127 {
-					return tableKey{}, false
-				}
-			}
-		}
-	}
-	ck := u.CanonicalKey()
-	key := tableKey{k: ck.K}
-	for i, v := range ck.C {
-		key.c[i] = int8(v)
-	}
-	return key, true
 }
 
 type maPart struct {
@@ -113,8 +70,6 @@ func BuildTable(maxT int) *Table {
 	sht := Sequence{S, H, T}.UMat()
 
 	tab := &Table{MaxT: maxT, Levels: make([][]Entry, maxT+1)}
-	total := 24 * (3*(1<<uint(maxT)) - 2)
-	tab.lookup = make(map[tableKey]Ref, total)
 
 	level := []maPart{{u: ring.UIdentity()}}
 	for t := 0; t <= maxT; t++ {
@@ -129,26 +84,15 @@ func BuildTable(maxT int) *Table {
 				}
 			}
 			for ci, c := range cliffs {
-				u := p.u.Mul(c.U)
-				e := Entry{
-					M:        u.Complex(),
+				entries = append(entries, Entry{
+					M:        p.u.Mul(c.U).Complex(),
 					TPart:    p.bits,
 					NSyl:     p.nsyl,
 					LeadT:    p.lead,
 					Cliff:    uint8(ci),
 					TCount:   uint8(t),
 					NonPauli: partNP + uint8(c.Seq.CliffordCount()),
-				}
-				key, ok := keyOf(u)
-				if !ok {
-					panic("gates: coefficient outside the table key's range")
-				}
-				if _, dup := tab.lookup[key]; dup {
-					// MA normal forms are unique; a collision signals a bug.
-					panic("gates: duplicate canonical key during MA enumeration")
-				}
-				tab.lookup[key] = Ref{Level: uint8(t), Idx: int32(len(entries))}
-				entries = append(entries, e)
+				})
 			}
 		}
 		tab.Levels[t] = entries
@@ -186,24 +130,22 @@ func (t *Table) Count() int {
 	return n
 }
 
-// Find returns the entry equal to u up to global phase, if enumerated.
+// Find returns the entry equal to u up to global phase, if enumerated: u
+// must be exactly unitary with T count at most MaxT. A matrix that is not
+// exactly unitary, such as an entry with one coefficient changed, misses.
 func (t *Table) Find(u ring.UMat) (*Entry, bool) {
-	k, ok := keyOf(u)
+	lvl, i, c, ok := address(&u, t.MaxT)
 	if !ok {
 		return nil, false
 	}
-	ref, ok := t.lookup[k]
-	if !ok || int(ref.Level) > t.MaxT {
-		return nil, false
-	}
-	return &t.Levels[ref.Level][ref.Idx], true
+	return &t.Levels[lvl][24*i+c], true
 }
 
 // view returns the table for budget maxT ≤ t.MaxT without enumerating
 // again: BuildTable fills each level the same way whatever its budget, so
-// that table is t's first maxT+1 levels, served by t's lookup.
+// that table is t's first maxT+1 levels.
 func (t *Table) view(maxT int) *Table {
-	return &Table{MaxT: maxT, Levels: t.Levels[: maxT+1 : maxT+1], lookup: t.lookup}
+	return &Table{MaxT: maxT, Levels: t.Levels[: maxT+1 : maxT+1]}
 }
 
 // Collect returns pointers to all entries with T count in [loT, hiT].

@@ -218,6 +218,46 @@ func TestNorm2MatchesSum(t *testing.T) {
 	}
 }
 
+// TestPrefixWeightsUniform: on trasyn's chains — T ≤ 5 with 2 to 4 sites
+// and T ≤ 7 with 3, three Haar targets each — every site-0 candidate
+// carries the same weight (its Σ|trace value|² over all completions, read
+// from the canonical chain's first site) to within 1e-12 of their mean,
+// and norm² is m^l to within 1e-12 relative. The T ≤ k enumeration is a
+// union of Clifford cosets, so Σ_s |Tr(A·M_s)|² = m·‖A‖²_F/2 = m for
+// every unitary A, and summing out the sites after a prefix multiplies by
+// m each time, whatever the prefix (DESIGN.md, trasyn's sampler): the
+// draws over prefixes are uniform.
+func TestPrefixWeightsUniform(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, c := range []struct{ maxT, n int }{{5, 2}, {5, 3}, {5, 4}, {7, 3}} {
+		sites := trasynSites(c.maxT, c.n)
+		m := len(sites[0])
+		want := math.Pow(float64(m), float64(c.n))
+		worstW, worstN := 0.0, 0.0
+		for range 3 {
+			chain := Build(qmat.HaarRandom(rng), sites)
+			worstN = max(worstN, math.Abs(chain.Norm2()-want)/want)
+			st := chain.sites[0]
+			w := make([]float64, m)
+			mean := 0.0
+			for s := range w {
+				for _, v := range st.data[s*st.dr : (s+1)*st.dr] {
+					w[s] += real(v)*real(v) + imag(v)*imag(v)
+				}
+				mean += w[s] / float64(m)
+			}
+			for _, ws := range w {
+				worstW = max(worstW, math.Abs(ws-mean)/mean)
+			}
+		}
+		t.Logf("T≤%d, %d sites: site-0 weights within %.1e of their mean, norm² within %.1e of m^l", c.maxT, c.n, worstW, worstN)
+		if worstW > 1e-12 || worstN > 1e-12 {
+			t.Errorf("T≤%d, %d sites: site-0 weights %.1e from their mean, norm² %.1e from m^l = %g; want both within 1e-12",
+				c.maxT, c.n, worstW, worstN, want)
+		}
+	}
+}
+
 // TestSampleDistribution: empirical frequencies must approach |T|²/Z.
 func TestSampleDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

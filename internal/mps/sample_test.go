@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/gates"
 	"repro/internal/qmat"
 )
 
@@ -51,11 +50,6 @@ func sameBits(got, want []Sampled) string {
 // kernels do not cover.
 func TestMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	es := gates.Shared(5).Collect(0, 5)
-	mats := make([]qmat.M2, len(es))
-	for i, e := range es {
-		mats[i] = e.M
-	}
 	rng := rand.New(rand.NewSource(12))
 	type chainCase struct {
 		name     string
@@ -64,10 +58,7 @@ func TestMatchesReference(t *testing.T) {
 	}
 	var cases []chainCase
 	for n := 1; n <= 4; n++ {
-		sites := make([][]qmat.M2, n)
-		for i := range sites {
-			sites[i] = mats
-		}
+		sites := trasynSites(5, n)
 		k := 2000
 		if n > 2 {
 			k = 200 // the reference allocates per prefix; keep it quick
@@ -138,25 +129,13 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 func TestDrawMatchesRunningSum(t *testing.T) {
 	const envs, uniforms = 50, 100000
 	rng := rand.New(rand.NewSource(16))
-	trasyn := func(maxT, n int) [][]qmat.M2 {
-		es := gates.Shared(maxT).Collect(0, maxT)
-		mats := make([]qmat.M2, len(es))
-		for i, e := range es {
-			mats[i] = e.M
-		}
-		sites := make([][]qmat.M2, n)
-		for i := range sites {
-			sites[i] = mats
-		}
-		return sites
-	}
 	for _, c := range []struct {
 		name  string
 		sites [][]qmat.M2
 	}{
-		{"T≤5, 3 sites", trasyn(5, 3)},
-		{"T≤5, 4 sites", trasyn(5, 4)},
-		{"T≤7, 3 sites", trasyn(7, 3)},
+		{"T≤5, 3 sites", trasynSites(5, 3)},
+		{"T≤5, 4 sites", trasynSites(5, 4)},
+		{"T≤7, 3 sites", trasynSites(7, 3)},
 		{"random [64 64 3]", randomSites(rng, 64, 64, 3)},
 	} {
 		chain := Build(qmat.HaarRandom(rng), c.sites)

@@ -113,6 +113,29 @@ func (m *UMat) HadamardCols() {
 	m.reduce()
 }
 
+// MaxAbsCoeff returns the largest coefficient magnitude of m (saturating
+// at MaxInt64 for MinInt64 coefficients).
+func (m UMat) MaxAbsCoeff() int64 {
+	mx := int64(0)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			e := m.E[i][j]
+			for _, c := range [4]int64{e.A, e.B, e.C, e.D} {
+				if c == -1<<63 {
+					return 1<<63 - 1
+				}
+				if c < 0 {
+					c = -c
+				}
+				if c > mx {
+					mx = c
+				}
+			}
+		}
+	}
+	return mx
+}
+
 // MulPhase returns ω^j · m.
 func (m UMat) MulPhase(j int) UMat {
 	m.PhaseCol(0, j)
