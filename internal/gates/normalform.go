@@ -83,8 +83,8 @@ func address(u *ring.UMat, maxT int) (t, i, c int, ok bool) {
 // false when u = [[p, q], [r, s]]/√2^K is not exactly unitary: |p|²+|q|²
 // = |r|²+|s|² = 2^K and p·r̄ + q·s̄ = 0. K must be at most 13, as address
 // admits: then a unitary's coefficients v satisfy v² ≤ 2^K < 2^14 (so do
-// its √2-conjugate's), and u is rejected on a coefficient of 256 or more
-// in magnitude before any product that could overflow.
+// its √2-conjugate's), and u is rejected on a coefficient outside
+// −256…255 before any product that could overflow.
 func (x *bloch) set(u *ring.UMat) (k int, ok bool) {
 	var big uint64
 	for r := range u.E {
@@ -102,9 +102,10 @@ func (x *bloch) set(u *ring.UMat) (k int, ok bool) {
 		p.Mul(r.Conj()).Add(q.Mul(s.Conj())) != (ring.ZOmega{}) {
 		return 0, false
 	}
-	// u·σ_x·u† and u·σ_y·u† are [[·, c ± d], [·, ·]] and have z parts
-	// ±2·Re and ±2·Im of e (r̄·s = −p̄·q, the columns being orthogonal), all
-	// over 2^K; at exponent 2K+1 the entries are √2 times those parts.
+	// Over 2^K, u·σ_x·u† and u·σ_y·u† have (0,1) entries c + d and
+	// i·(c − d), whose real and −imaginary parts are the x and y rows, and
+	// z rows Re and −Im of 2e (r̄·s = −p̄·q, the columns being orthogonal).
+	// At exponent 2K+1 the entries are √2 times those parts.
 	c, d, e := q.Mul(r.Conj()), p.Mul(s.Conj()), p.Conj().Mul(q)
 	cd, dc, e2 := c.Add(d), d.Sub(c), e.Add(e)
 	*x = bloch{
