@@ -49,7 +49,10 @@ type Config struct {
 	Rng *rand.Rand
 	// Cancel, when non-nil, aborts a run: TRASYN polls it between attempts
 	// and the sampler between chunks of prefixes inside one. The best
-	// result of the attempts that finished is returned.
+	// result of the attempts that finished is returned. A deferred attempt
+	// (see TRASYN) has not finished until its tail is completed, which
+	// happens only once every rung has missed ε and never after Cancel
+	// closes; it can never have met ε.
 	Cancel <-chan struct{}
 }
 
@@ -81,7 +84,9 @@ type Result struct {
 	TCount   int
 	Clifford int // non-Pauli Clifford gates (H, S, S†)
 	Sites    int // tensors used in the MPS for the winning attempt
-	Evals    int // configurations examined across all attempts
+	// Evals counts the configurations drawn across all attempts, deferred
+	// ones included, whether or not their tails were completed.
+	Evals int
 }
 
 // Synthesize solves the Eq. (3) form: minimize the distance to u subject to
@@ -95,26 +100,47 @@ func Synthesize(u qmat.M2, cfg Config) Result {
 // TRASYN is Algorithm 1: attempts budgets[:l], budgets[:l+1], …, r times
 // each, keeping the best solution; with Epsilon > 0 it returns as soon as
 // the threshold is met, effectively solving Eq. (4).
+//
+// With Epsilon > 0, a sampled rung other than the last is deferred when
+// no Clifford+T operator within its summed T budget lies within ε
+// (gates.Reaches): it cannot be the rung that meets ε. Its attempts build
+// their chains and draw their prefixes in turn, so the random stream and
+// Evals are unchanged, but their tails are completed only if every rung
+// misses ε; then every attempt's result is folded in rung order. So the
+// result is the one the ladder returns with every rung run in full.
 func TRASYN(u qmat.M2, cfg Config) Result {
 	cfg = fill(cfg)
 	s := &search{cfg: cfg}
-	best := Result{Error: math.Inf(1)}
-	evals := 0
+	best, bestAt := Result{Error: math.Inf(1)}, -1
+	// better reports whether res, the at-th attempt, precedes best in the
+	// order the ladder folds: lower error, then fewer T, then earlier.
+	better := func(res Result, at int) bool {
+		return res.Error < best.Error ||
+			(res.Error == best.Error && (res.TCount < best.TCount || (res.TCount == best.TCount && at < bestAt)))
+	}
+	evals, at := 0, 0
+	var deferred []deferredAttempt
 	for i := cfg.MinSites; i <= len(cfg.Budgets); i++ {
-		for j := 0; j < cfg.Attempts; j++ {
-			if cfg.Cancel != nil {
-				select {
-				case <-cfg.Cancel:
-					best.Evals = evals
-					return best
-				default:
+		skip := false
+		for j := 0; j < cfg.Attempts; j, at = j+1, at+1 {
+			if closed(cfg.Cancel) {
+				best.Evals = evals
+				return best
+			}
+			if j == 0 {
+				skip = s.unreachable(u, i)
+			}
+			if skip {
+				if d, ok := s.draw(u, i); ok {
+					evals += d.Len()
+					deferred = append(deferred, deferredAttempt{d: d, sites: i, at: at})
 				}
+				continue
 			}
 			res := s.attempt(u, i)
 			evals += res.Evals
-			if res.Error < best.Error ||
-				(res.Error == best.Error && res.TCount < best.TCount) {
-				best = res
+			if better(res, at) {
+				best, bestAt = res, at
 			}
 			if cfg.Epsilon > 0 && best.Error < cfg.Epsilon {
 				best.Evals = evals
@@ -122,8 +148,32 @@ func TRASYN(u qmat.M2, cfg Config) Result {
 			}
 		}
 	}
+	for _, d := range deferred {
+		if closed(cfg.Cancel) {
+			break
+		}
+		if res := s.best(d.d.CompleteUntil(cfg.Cancel), d.sites); better(res, d.at) {
+			best, bestAt = res, d.at
+		}
+	}
 	best.Evals = evals
 	return best
+}
+
+// deferredAttempt is an attempt whose prefixes are drawn and whose tail
+// waits: the at-th attempt of TRASYN's ladder, over its first sites.
+type deferredAttempt struct {
+	d         mps.Drawn
+	sites, at int
+}
+
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 func fill(cfg Config) Config {
@@ -169,6 +219,7 @@ type search struct {
 	cfg     Config
 	entries [][]*gates.Entry // per site, the operators it draws from
 	mats    [][]qmat.M2      // per site, their matrices in the same order
+	reached bool             // some rung's budget was shown to reach ε
 }
 
 // sites returns the candidate matrices of sites [0, n).
@@ -204,6 +255,35 @@ func (s *search) sample(u qmat.M2, n int) []mps.Sampled {
 	return chain.SampleBestTailUntil(s.cfg.Cancel, s.cfg.Rng, s.cfg.Samples, s.cfg.EnvCap)
 }
 
+// draw is steps 1 and 2 over the first n sites short of the tail: the
+// trace-value MPS and its drawn prefixes, false if the run was canceled.
+func (s *search) draw(u qmat.M2, n int) (mps.Drawn, bool) {
+	return mps.Build(u, s.sites(n)).DrawUntil(s.cfg.Cancel, s.cfg.Rng, s.cfg.Samples, s.cfg.EnvCap)
+}
+
+// unreachable reports whether TRASYN may defer the rung over the first n
+// sites: it samples (two sites or more, no beam), it is not the last, and
+// no operator within its summed, table-capped T budget B lies within ε.
+// The walk that decides it visits up to 3·2^B nodes; it is taken only when
+// that is at most a sixteenth of the k·m candidate products of the tail
+// it would save (m the last site's candidates), and not again once a
+// budget has reached ε, since reaching is monotone in B.
+func (s *search) unreachable(u qmat.M2, n int) bool {
+	cfg := &s.cfg
+	if cfg.Epsilon <= 0 || cfg.UseBeam || n < 2 || n == len(cfg.Budgets) || s.reached {
+		return false
+	}
+	b := 0
+	for _, x := range cfg.Budgets[:n] {
+		b += min(x, cfg.Table.MaxT)
+	}
+	if b < 0 || b > 40 || 3<<b > cfg.Samples*len(s.sites(n)[n-1])/16 {
+		return false
+	}
+	s.reached = gates.Reaches(u, cfg.Epsilon, b)
+	return !s.reached
+}
+
 // sequence is a sample's gate sequence after step 3's rewriting.
 func (s *search) sequence(smp mps.Sampled) gates.Sequence {
 	var seq gates.Sequence
@@ -216,7 +296,12 @@ func (s *search) sequence(smp mps.Sampled) gates.Sequence {
 // attempt is one attempt of Algorithm 1 over the first n sites: sample,
 // then post-process the top KeepBest samples by trace value.
 func (s *search) attempt(u qmat.M2, n int) Result {
-	samples := s.sample(u, n)
+	return s.best(s.sample(u, n), n)
+}
+
+// best is an attempt's result from its samples over n sites: the top
+// KeepBest samples by trace value, rewritten, and the best of them.
+func (s *search) best(samples []mps.Sampled, n int) Result {
 	best := Result{Error: math.Inf(1), Sites: n, Evals: len(samples)}
 	for _, smp := range topByTrace(samples, s.cfg.KeepBest) {
 		err := qmat.DistanceFromTrace(smp.Trace)

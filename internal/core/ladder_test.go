@@ -70,6 +70,18 @@ func ladderTargets(rng *rand.Rand, eps float64) []ladderTarget {
 	return append(ts, ladderTarget{"inside", qmat.Mul(e, r)})
 }
 
+// defersBefore reports whether TRASYN, run with cfg, defers a rung before
+// the one over sites sites.
+func defersBefore(u qmat.M2, cfg Config, sites int) bool {
+	s := &search{cfg: fill(cfg)}
+	for n := s.cfg.MinSites; n < sites; n++ {
+		if s.unreachable(u, n) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestTRASYNMatchesLadder: TRASYN returns, bit for bit, what the ladder
 // that runs every rung in full returns — sequence, error bits, evals and
 // sites — on Haar, Rz/Rx and just-inside-ε targets, at ε from 5e-2 to
@@ -79,7 +91,7 @@ func TestTRASYNMatchesLadder(t *testing.T) {
 	type shape struct{ m, sites int }
 	shapes := []shape{{4, 4}, {5, 3}}
 	rng := rand.New(rand.NewSource(27))
-	runs, allMiss, inside := 0, 0, 0
+	runs, allMiss, inside, deferredWin := 0, 0, 0, 0
 	for ei, eps := range []float64{5e-2, 2e-2, 5e-3, 1e-3} {
 		for ti, tg := range ladderTargets(rng, eps) {
 			if raceEnabled && ti%2 == 1 {
@@ -109,8 +121,14 @@ func TestTRASYNMatchesLadder(t *testing.T) {
 						eps, tg.name, ti, sh.m, sh.sites, cfg.Attempts, cfg.MinSites,
 						g.Seq, g.Error, g.Evals, g.Sites, w.Seq, w.Error, w.Evals, w.Sites)
 				}
+				// Runs that defer a rung and then miss everywhere, and runs
+				// that defer one and win later.
 				if w.Error >= eps {
-					allMiss++
+					if defersBefore(tg.u, cfg, sh.sites) {
+						allMiss++
+					}
+				} else if defersBefore(tg.u, cfg, w.Sites) {
+					deferredWin++
 				}
 				if tg.name == "inside" && w.Error < eps && w.Error >= eps-1e-9 {
 					inside++
@@ -118,8 +136,8 @@ func TestTRASYNMatchesLadder(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d runs: %d where every rung misses, %d won just inside ε", runs, allMiss, inside)
-	if allMiss == 0 || inside == 0 {
-		t.Errorf("the cases must include runs where every rung misses (%d) and runs won just inside ε (%d)", allMiss, inside)
+	t.Logf("%d runs: %d deferred a rung and missed at every rung, %d won after a deferred rung, %d won just inside ε", runs, allMiss, deferredWin, inside)
+	if allMiss == 0 || deferredWin == 0 || inside == 0 {
+		t.Errorf("the cases must include runs that defer a rung and miss at every rung (%d), runs won after a deferred rung (%d) and runs won just inside ε (%d)", allMiss, deferredWin, inside)
 	}
 }

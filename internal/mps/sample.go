@@ -75,7 +75,8 @@ func (c *Chain) SampleBestTail(rng *rand.Rand, k, envCap int) []Sampled {
 }
 
 // SampleBestTailUntil is SampleBestTail that gives up once done is closed:
-// it polls done between chunks of prefixes and then returns nil.
+// it polls done between chunks of prefixes and then returns nil. On two
+// sites or more it is DrawUntil followed by CompleteUntil.
 func (c *Chain) SampleBestTailUntil(done <-chan struct{}, rng *rand.Rand, k, envCap int) []Sampled {
 	if c.norm2 <= 0 || k <= 0 {
 		return nil
@@ -83,21 +84,61 @@ func (c *Chain) SampleBestTailUntil(done <-chan struct{}, rng *rand.Rand, k, env
 	if len(c.sites) == 1 {
 		return c.BeamUntil(done, min(k, c.sites[0].m))
 	}
-	levels, ok := c.draw(done, rng, k, envCap, len(c.sites)-1)
+	d, ok := c.DrawUntil(done, rng, k, envCap)
 	if !ok {
 		return nil
 	}
-	groups := levels[len(levels)-1]
-	last := &c.sites[len(c.sites)-1]
-	tails := make([]node, len(groups))
-	if !forEach(done, len(groups), func(i int) {
-		s, amp := last.best(&groups[i].env)
-		tails[i] = node{env: [4]complex128{amp}, parent: int32(i), s: int32(s), count: groups[i].count}
+	return d.CompleteUntil(done)
+}
+
+// Drawn is a SampleBestTail pass stopped before its tail: the distinct
+// prefixes drawn through every site but the last, and the last site,
+// which completes them. It keeps none of the chain's other sites.
+type Drawn struct {
+	levels   [][]node // each drawn site's distinct prefixes
+	prefixes []node   // the prefixes to complete
+	last     site
+}
+
+// DrawUntil is SampleBestTail's draw: k samples through every site but
+// the last, from rng, exactly as SampleBestTail draws them; false if done
+// was closed first. On a chain of norm 0, or for k ≤ 0, it draws nothing.
+// On a one-site chain the one prefix is the empty one.
+func (c *Chain) DrawUntil(done <-chan struct{}, rng *rand.Rand, k, envCap int) (Drawn, bool) {
+	d := Drawn{last: c.sites[len(c.sites)-1]}
+	if c.norm2 <= 0 || k <= 0 {
+		return d, true
+	}
+	levels, ok := c.draw(done, rng, k, envCap, len(c.sites)-1)
+	if !ok {
+		return Drawn{}, false
+	}
+	d.levels = levels
+	if len(levels) == 0 {
+		d.prefixes = []node{{env: [4]complex128{1}, count: k}}
+	} else {
+		d.prefixes = levels[len(levels)-1]
+	}
+	return d, true
+}
+
+// Len returns the number of distinct prefixes drawn: CompleteUntil
+// completes each into one configuration.
+func (d Drawn) Len() int { return len(d.prefixes) }
+
+// CompleteUntil is SampleBestTail's tail: it completes each drawn prefix
+// with the argmax over the last site and returns the configurations, or
+// nil if done was closed first. It consumes no random draws.
+func (d Drawn) CompleteUntil(done <-chan struct{}) []Sampled {
+	tails := make([]node, len(d.prefixes))
+	if !forEach(done, len(tails), func(i int) {
+		s, amp := d.last.best(&d.prefixes[i].env)
+		tails[i] = node{env: [4]complex128{amp}, parent: int32(i), s: int32(s), count: d.prefixes[i].count}
 	}) {
 		return nil
 	}
 	tails = slices.DeleteFunc(tails, func(t node) bool { return t.s < 0 })
-	return sampled(append(levels, tails))
+	return sampled(append(d.levels, tails))
 }
 
 // Beam runs a deterministic beam search for the configurations with the
@@ -398,7 +439,7 @@ func (st *site) weights(env *[4]complex128, w []float64) {
 // best returns the candidate that completes a prefix with environment env
 // with the largest |amplitude|² — the first on ties — and its amplitude
 // Σ_l env[l]·data[s,l,0]; -1 if the site has no candidate.
-func (st *site) best(env *[4]complex128) (int, complex128) {
+func (st site) best(env *[4]complex128) (int, complex128) {
 	bestS, bestW := -1, -1.0
 	var bestAmp complex128
 	if st.dl == 4 && st.dr == 1 {
