@@ -106,3 +106,28 @@ func BenchmarkAblationWithRewrite(b *testing.B) {
 		b.ReportMetric(float64(seqLen)/float64(b.N), "outlen")
 	}
 }
+
+// BenchmarkTrasynAxis is TRASYN as the trasyn backend configures it (T ≤ 5,
+// four sites, k = 2,000) at ε = 2e-2, qaoa_auto's share per rotation, on an
+// Rz target that no operator with T ≤ 15 meets: its two- and three-site
+// rungs are deferred (see TRASYN).
+func BenchmarkTrasynAxis(b *testing.B) {
+	u := qmat.Rz(axisAngle)
+	if gates.Reaches(u, 2e-2, 15) {
+		b.Fatal("an operator with T ≤ 15 meets the target: its rungs are not deferred")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig(gates.Shared(5), 5, 4, 2000)
+		cfg.Epsilon = 2e-2
+		cfg.Rng = rand.New(rand.NewSource(1))
+		res := TRASYN(u, cfg)
+		if i == 0 {
+			b.ReportMetric(float64(res.TCount), "tcount")
+			b.ReportMetric(float64(res.Sites), "sites")
+		}
+	}
+}
+
+// axisAngle is BenchmarkTrasynAxis's Rz angle.
+const axisAngle = 0.5

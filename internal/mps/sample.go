@@ -438,7 +438,9 @@ func (st *site) weights(env *[4]complex128, w []float64) {
 
 // best returns the candidate that completes a prefix with environment env
 // with the largest |amplitude|² — the first on ties — and its amplitude
-// Σ_l env[l]·data[s,l,0]; -1 if the site has no candidate.
+// Σ_l env[l]·data[s,l,0]; -1 if the site has no candidate. It takes the
+// site by value: CompleteUntil's workers call it on a Drawn's copy of the
+// site, which a pointer receiver would move to the heap on every attempt.
 func (st site) best(env *[4]complex128) (int, complex128) {
 	bestS, bestW := -1, -1.0
 	var bestAmp complex128
