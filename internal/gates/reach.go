@@ -18,8 +18,8 @@ import (
 //
 // The slack makes the answer err toward true: a false is a certificate
 // that every operator within the budget lies at least eps from u, with
-// room for the rounding of the walk and of any other way of computing
-// those trace values. u need not be exactly unitary; the walk bounds
+// room for rounding in the walk and in trasyn's chains, which compute
+// the same trace values. u need not be exactly unitary; the walk bounds
 // what a non-unitary part can add.
 func Reaches(u qmat.M2, eps float64, budget int) bool {
 	if budget < 0 {
@@ -82,7 +82,7 @@ func (a quat) mul(b quat) quat {
 }
 
 // The walk's steps, with their global phases removed: T = e^{iπ/8}·Rz(π/4),
-// S = e^{iπ/4}·Rz(π/2) and H = −i·(−iX − iZ)/√2.
+// S = e^{iπ/4}·Rz(π/2) and H = i·(−iX − iZ)/√2.
 var (
 	quatT   = quat{math.Cos(math.Pi / 8), 0, 0, math.Sin(math.Pi / 8)}
 	quatHT  = quat{0, 1 / math.Sqrt2, 0, 1 / math.Sqrt2}.mul(quatT)
