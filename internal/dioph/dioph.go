@@ -10,10 +10,16 @@
 // caller simply moves to the next grid candidate (standard gridsynth
 // practice; completeness is heuristic, soundness is exact).
 //
-// The Solver type carries all temporaries, a per-search ModSqrt memo and a
-// cheap residue pre-filter, so a search over many candidates performs no
-// steady-state allocation outside math/big growth; SolveNormEquation is
-// the one-shot convenience wrapper.
+// ξ whose coefficients and norm are small enough, as every ξ gridsynth
+// produces down to ε = 1e-10 is, is solved in machine words (word.go): the
+// same steps in the same order, on int64 coefficients with 128-bit
+// products, returning the same t. Any other ξ takes the big.Int path.
+//
+// The Solver type carries all temporaries, a per-search square-root memo
+// and a cheap residue pre-filter, so a search over many candidates
+// performs no steady-state allocation beyond the t it returns (and
+// math/big growth on the big path); SolveNormEquation is the one-shot
+// convenience wrapper.
 package dioph
 
 import (
@@ -47,6 +53,19 @@ var preFilterEnabled = true
 func SetPreFilter(enabled bool) bool {
 	prev := preFilterEnabled
 	preFilterEnabled = enabled
+	return prev
+}
+
+// fastPath gates the word path (word.go). Like preFilterEnabled it exists
+// so the equality tests can run the big.Int reference engine; production
+// code never turns it off.
+var fastPath = true
+
+// SetFastPath toggles the word path (for tests and benchmarks); it
+// returns the previous setting.
+func SetFastPath(enabled bool) bool {
+	prev := fastPath
+	fastPath = enabled
 	return prev
 }
 
@@ -92,11 +111,15 @@ type Solver struct {
 	gn             big.Int
 
 	memo map[sqrtKey]*big.Int
+
+	// Word path: the square-root memo and the factorization.
+	roots  map[sqrtKey]wordRoot
+	powers []wordPower
 }
 
 // NewSolver returns a Solver ready for a candidate search.
 func NewSolver() *Solver {
-	return &Solver{memo: make(map[sqrtKey]*big.Int, 16)}
+	return &Solver{memo: make(map[sqrtKey]*big.Int, 16), roots: make(map[sqrtKey]wordRoot, 16)}
 }
 
 // SolveNormEquation returns t with t·t† = ξ, or ok=false if ξ is not
@@ -134,20 +157,7 @@ func mod8(p *big.Int) int64 {
 // change the result.
 func (sv *Solver) preFilter(n *big.Int) bool {
 	if v, ok := n.Int64(), n.IsInt64(); ok && v > 0 {
-		for _, p := range prefilterPrimes {
-			if v < p {
-				break
-			}
-			e := 0
-			for v%p == 0 {
-				v /= p
-				e++
-			}
-			if e&1 == 1 {
-				return false
-			}
-		}
-		return true
+		return preFilter64(v)
 	}
 	// Big n: same test with scratch big.Ints (still far cheaper than rho).
 	sv.h.Set(n)
@@ -169,10 +179,43 @@ func (sv *Solver) preFilter(n *big.Int) bool {
 	return true
 }
 
+// preFilter64 is preFilter for 0 < v < 2^63.
+func preFilter64(v int64) bool {
+	for _, p := range prefilterPrimes {
+		if v < p {
+			break
+		}
+		e := 0
+		for v%p == 0 {
+			v /= p
+			e++
+		}
+		if e&1 == 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Solve returns t with t·t† = ξ, or ok=false if ξ is not expressible (or
 // the factoring budget was exceeded). The result is freshly allocated and
-// owned by the caller; all intermediates live in the Solver.
+// owned by the caller; all intermediates live in the Solver. ξ whose
+// coefficients and norm fit the word path (word.go) is solved in machine
+// words, and any other in big.Int; both return the same answer.
 func (sv *Solver) Solve(xi ring.BSqrt2) (ring.BOmega, bool) {
+	if fastPath {
+		switch t, out := sv.solveWord(xi); out {
+		case solved:
+			return ring.BOmegaFromZOmega(t), true
+		case noSolution:
+			return ring.BOmega{}, false
+		}
+	}
+	return sv.solveBig(xi)
+}
+
+// solveBig is Solve in big.Int arithmetic, the reference.
+func (sv *Solver) solveBig(xi ring.BSqrt2) (ring.BOmega, bool) {
 	if xi.IsZero() {
 		return ring.BOmegaFromInt(0), true
 	}

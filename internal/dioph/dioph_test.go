@@ -192,3 +192,30 @@ func BenchmarkSolveNormEquation(b *testing.B) {
 		SolveNormEquation(xis[i%len(xis)])
 	}
 }
+
+// BenchmarkSolve times Solve on the golden ξ through one Solver, as a
+// gridsynth search uses it, split at |N(ξ)| = 2^31: gridsynth's own ξ lie
+// below it (up to 2^30 at ε = 1e-10).
+func BenchmarkSolve(b *testing.B) {
+	var small, large []ring.BSqrt2
+	limit := big.NewInt(1 << 31)
+	for _, xi := range goldenXis() {
+		if new(big.Int).Abs(xi.NormZ()).Cmp(limit) < 0 {
+			small = append(small, xi)
+		} else {
+			large = append(large, xi)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		xis  []ring.BSqrt2
+	}{{"norm<2^31", small}, {"norm>=2^31", large}} {
+		b.Run(c.name, func(b *testing.B) {
+			sv := NewSolver()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sv.Solve(c.xis[i%len(c.xis)])
+			}
+		})
+	}
+}

@@ -12,8 +12,8 @@ import (
 )
 
 // Seed-equality property: the optimized hot path (exact synthesis's int64
-// peel loop, the Diophantine residue pre-filter, the in-place ring
-// arithmetic that both now sit on) must produce bit-identical gate
+// peel loop, the Diophantine residue pre-filter and word path, the
+// in-place ring arithmetic beneath them) must produce bit-identical gate
 // sequences to the arbitrary-precision reference path — same gates in the
 // same order, same T count, same denominator exponent k — for fixed seeds
 // across the benchmark ε ladder. This is the acceptance gate that lets the
@@ -25,9 +25,11 @@ func withReferencePaths(t *testing.T, f func()) {
 	t.Helper()
 	prevFast := exact.SetFastPath(false)
 	prevFilter := dioph.SetPreFilter(false)
+	prevWord := dioph.SetFastPath(false)
 	defer func() {
 		exact.SetFastPath(prevFast)
 		dioph.SetPreFilter(prevFilter)
+		dioph.SetFastPath(prevWord)
 	}()
 	f()
 }
