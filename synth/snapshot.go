@@ -67,10 +67,15 @@ func NewRecord(k Key, e Entry) Record {
 // cache entry. It refuses a record whose sequence does not parse, and one
 // with no sequence at all: Sequence.String spells the empty sequence "I",
 // so a blank seq is a truncated or foreign record, and storing it would
-// serve the identity as the answer for its rotation.
+// serve the identity as the answer for its rotation. It also refuses an
+// err outside [0, 1], the range of the distance it reports (Eq. (2),
+// qmat.Distance): such a record would be served with an impossible error.
 func (r Record) Decode() (Key, Entry, error) {
 	if strings.TrimSpace(r.Seq) == "" {
 		return Key{}, Entry{}, errors.New("record has no seq")
+	}
+	if !(r.Err >= 0 && r.Err <= 1) {
+		return Key{}, Entry{}, fmt.Errorf("record err %v outside [0, 1]", r.Err)
 	}
 	seq, err := gates.Parse(r.Seq)
 	if err != nil {
