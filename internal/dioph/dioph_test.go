@@ -213,7 +213,7 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			sv := NewSolver()
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for i := 0; b.Loop(); i++ {
 				sv.Solve(c.xis[i%len(c.xis)])
 			}
 		})

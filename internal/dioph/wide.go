@@ -70,17 +70,6 @@ func (x wide) cmp(y wide) int {
 	return 0
 }
 
-// sign returns −1, 0 or +1.
-func (x wide) sign() int {
-	switch {
-	case x.hi < 0:
-		return -1
-	case x.isZero():
-		return 0
-	}
-	return 1
-}
-
 // narrow returns x as an int64 and whether |x| < wordLimit.
 func (x wide) narrow() (int64, bool) {
 	v := int64(x.lo)

@@ -181,64 +181,31 @@ func divExactS(y, z ring.ZSqrt2) (q ring.ZSqrt2, exact, ok bool) {
 	return ring.ZSqrt2{A: qa, B: qb}, rb.isZero(), true
 }
 
-// euclidO is ring.EuclidState's Euclidean step on words: the remainder of
-// z by w ≠ 0 with the rounded quotient z·w̄·(w·w̄)•/N(w), rescued from the
-// 3⁴ neighbours of that quotient when its remainder does not shrink the
-// norm. It returns the remainder r, |N(r)| and |N(w)|.
-func euclidO(z, w ring.ZOmega) (r ring.ZOmega, nr, nw wide, ok bool) {
+// euclidO returns the remainder of z by w ≠ 0 under ring.EuclidState's
+// rounded quotient q = z·w̄·(w·w̄)•/N(w). Rounding leaves δ = z/w − q with
+// coefficients in [−½, ½], and N(δ) < 1 there: |σ₁(δ)|² + |σ₃(δ)|² =
+// 2·Σδᵢ² ≤ 2, so N(δ) = |σ₁(δ)|²·|σ₃(δ)|² ≤ 1, with equality only at the
+// cube's corners, where N(δ) = ½ (its maximum is 9/16). So N(z − q·w) =
+// N(w)·N(δ) < N(w) always: EuclidState's rescue scan and its gcd's early
+// return never run, and the word path has neither.
+func euclidO(z, w ring.ZOmega) (ring.ZOmega, bool) {
 	ww, ok := norm2O(w)
 	if !ok {
-		return
+		return ring.ZOmega{}, false
 	}
-	nw = normS(ww) // w·w̄ is totally positive, so N(w) > 0
+	n := normS(ww) // N(w) > 0: w·w̄ is totally positive
 	u, ok := mulO(z, w.Conj())
 	if !ok {
-		return
+		return ring.ZOmega{}, false
 	}
 	num := mulOWide(u, ring.ZOmega{A: ww.A, B: -ww.B, D: ww.B})
 	var q ring.ZOmega
 	var okQ [4]bool
-	q.A, okQ[0] = roundQuo(num[0], nw)
-	q.B, okQ[1] = roundQuo(num[1], nw)
-	q.C, okQ[2] = roundQuo(num[2], nw)
-	q.D, okQ[3] = roundQuo(num[3], nw)
+	q.A, okQ[0] = roundQuo(num[0], n)
+	q.B, okQ[1] = roundQuo(num[1], n)
+	q.C, okQ[2] = roundQuo(num[2], n)
+	q.D, okQ[3] = roundQuo(num[3], n)
 	if !(okQ[0] && okQ[1] && okQ[2] && okQ[3]) {
-		return r, nr, nw, false
-	}
-	if r, ok = remO(z, q, w); !ok || r.IsZero() {
-		return r, wide{}, nw, ok
-	}
-	if nr, ok = normO(r); !ok || nr.cmp(nw) < 0 {
-		return r, nr, nw, ok
-	}
-	// Rescue: scan the 3⁴ neighbourhood of q, in the big path's order,
-	// for a strictly smaller remainder norm.
-	for da := int64(-1); da <= 1; da++ {
-		for db := int64(-1); db <= 1; db++ {
-			for dc := int64(-1); dc <= 1; dc++ {
-				for dd := int64(-1); dd <= 1; dd++ {
-					cand := ring.ZOmega{A: q.A + da, B: q.B + db, C: q.C + dc, D: q.D + dd}
-					cr, ok := remO(z, cand, w)
-					if !ok {
-						return r, nr, nw, false
-					}
-					cn, ok := normO(cr)
-					if !ok {
-						return r, nr, nw, false
-					}
-					if cn.cmp(nr) < 0 {
-						r, nr = cr, cn
-					}
-				}
-			}
-		}
-	}
-	return r, nr, nw, true
-}
-
-// remO returns z − q·w.
-func remO(z, q, w ring.ZOmega) (ring.ZOmega, bool) {
-	if !inWord(q.A) || !inWord(q.B) || !inWord(q.C) || !inWord(q.D) {
 		return ring.ZOmega{}, false
 	}
 	qw, ok := mulO(q, w)
@@ -251,12 +218,9 @@ func remO(z, q, w ring.ZOmega) (ring.ZOmega, bool) {
 // gcdO is ring.EuclidState.GCD on words.
 func gcdO(a, b ring.ZOmega) (ring.ZOmega, bool) {
 	for !b.IsZero() {
-		r, nr, nb, ok := euclidO(a, b)
+		r, ok := euclidO(a, b)
 		if !ok {
 			return ring.ZOmega{}, false
-		}
-		if !r.IsZero() && nr.cmp(nb) >= 0 {
-			return b, true
 		}
 		a, b = b, r
 	}

@@ -101,6 +101,13 @@ func TestFactorWordMatchesFactor(t *testing.T) {
 		ns = append(ns, p*q, p*p, prime(30), p*q*int64(1+rng.Intn(100)))
 	}
 	ns = append(ns, 1, 2, 16417*16417*16417, 46441*50033, (1<<31)-1, 1<<40+15)
+	for _, r := range []uint64{1, 3, 1<<20 + 7, 1<<31 - 1, 2147483647} {
+		for _, n := range []uint64{r*r - 1, r * r, r*r + 2*r} {
+			if got := isqrt(n); got*got > n || (got+1)*(got+1) <= n {
+				t.Fatalf("isqrt(%d) = %d", n, got)
+			}
+		}
+	}
 	sv := NewSolver()
 	for _, n := range ns {
 		want, okWant := Factor(big.NewInt(n))
@@ -135,6 +142,60 @@ func TestRootModMatchesModSqrt(t *testing.T) {
 			want := new(big.Int).ModSqrt(new(big.Int).Mod(big.NewInt(sq), bp), bp)
 			if ok != (want != nil) || ok && big.NewInt(int64(r)).Cmp(want) != 0 {
 				t.Fatalf("rootMod(%d, %d) = %d, %v; ModSqrt: %v", sq, p, r, ok, want)
+			}
+		}
+	}
+}
+
+// TestEuclidMatchesBig holds the word path's Euclidean steps to the big
+// path's on random pairs, balanced and skewed by powers of λ: euclidO's
+// remainder to ring.EuclideanDiv's, gcdO to ring.GCD, gcdS to
+// Solver.gcdZSqrt2To, and unitExponentWord to unitLambdaExponent on the
+// units in range, their negatives and conjugates, and non-units beside
+// them.
+func TestEuclidMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	lambda := ring.Lambda.ToZOmega()
+	omega := func() ring.ZOmega {
+		r := int64(1) << uint(1+rng.Intn(20))
+		z := ring.ZOmega{A: rng.Int63n(2*r) - r, B: rng.Int63n(2*r) - r, C: rng.Int63n(2*r) - r, D: rng.Int63n(2*r) - r}
+		for m := rng.Intn(8); m > 0; m-- {
+			z = z.Mul(lambda)
+		}
+		return z
+	}
+	sv := NewSolver()
+	var gb ring.BSqrt2
+	for i := 0; i < 20000; i++ {
+		z, w := omega(), omega()
+		if w.IsZero() {
+			continue
+		}
+		bz, bw := ring.BOmegaFromZOmega(z), ring.BOmegaFromZOmega(w)
+		r, ok := euclidO(z, w)
+		if _, want := ring.EuclideanDiv(bz, bw); !ok || !ring.BOmegaFromZOmega(r).Equal(want) {
+			t.Fatalf("euclidO(%v, %v) = %v, %v; ring.EuclideanDiv: %v", z, w, r, ok, want)
+		}
+		g, ok := gcdO(z, w)
+		if want := ring.GCD(bz, bw); !ok || !ring.BOmegaFromZOmega(g).Equal(want) {
+			t.Fatalf("gcdO(%v, %v) = %v, %v; ring.GCD: %v", z, w, g, ok, want)
+		}
+		a, b := z.Norm2(), w.Norm2()
+		if b.IsZero() {
+			continue
+		}
+		gs, ok := gcdS(a, b)
+		sv.gcdZSqrt2To(&gb, ring.BSqrt2FromZSqrt2(a), ring.BSqrt2FromZSqrt2(b))
+		if !ok || !ring.BSqrt2FromZSqrt2(gs).Equal(gb) {
+			t.Fatalf("gcdS(%v, %v) = %v, %v; gcdZSqrt2To: %v", a, b, gs, ok, gb)
+		}
+	}
+	for j := -49; j <= 49; j++ {
+		for _, q := range []ring.ZSqrt2{lambdaPow(j), lambdaPow(j).Neg(), lambdaPow(j).Bullet(), {A: lambdaPow(j).A + 1, B: lambdaPow(j).B}} {
+			got, ok := unitExponentWord(q)
+			want := unitLambdaExponent(ring.BSqrt2FromZSqrt2(q))
+			if ok != (want != nil) || ok && got != *want {
+				t.Fatalf("unitExponentWord(%v) = %d, %v; unitLambdaExponent: %v", q, got, ok, want)
 			}
 		}
 	}
