@@ -10,10 +10,11 @@
 // caller simply moves to the next grid candidate (standard gridsynth
 // practice; completeness is heuristic, soundness is exact).
 //
-// ξ whose coefficients and norm are small enough, as every ξ gridsynth
-// produces down to ε = 1e-10 is, is solved in machine words (word.go): the
-// same steps in the same order, on int64 coefficients with 128-bit
-// products, returning the same t. Any other ξ takes the big.Int path.
+// A ξ with coefficients below 2^62 and norm below 2^31, as every ξ
+// gridsynth produces down to ε = 1e-10 has, is solved in machine words
+// (word.go): the same steps in the same order, on int64 coefficients with
+// 128-bit products, returning the same t. Any other ξ takes the big.Int
+// path.
 //
 // The Solver type carries all temporaries, a per-search square-root memo
 // and a cheap residue pre-filter, so a search over many candidates

@@ -115,12 +115,6 @@ func mulO(v, w ring.ZOmega) (ring.ZOmega, bool) {
 	return ring.ZOmega{A: a, B: b, C: cc, D: d}, okA && okB && okC && okD
 }
 
-// subO returns v − w for coefficients below wordLimit.
-func subO(v, w ring.ZOmega) (ring.ZOmega, bool) {
-	d := v.Sub(w) // below 2^63: no wrap
-	return d, inWord(d.A) && inWord(d.B) && inWord(d.C) && inWord(d.D)
-}
-
 func inWord(a int64) bool { return a > -wordLimit && a < wordLimit }
 
 // norm2O returns z·z̄ ∈ Z[√2].
@@ -128,12 +122,6 @@ func norm2O(z ring.ZOmega) (ring.ZSqrt2, bool) {
 	a, okA := mul(z.A, z.A).add(mul(z.B, z.B)).add(mul(z.C, z.C)).add(mul(z.D, z.D)).narrow()
 	b, okB := mul(z.A, z.B).add(mul(z.B, z.C)).add(mul(z.C, z.D)).sub(mul(z.D, z.A)).narrow()
 	return ring.ZSqrt2{A: a, B: b}, okA && okB
-}
-
-// normO returns |N(z)| for z ∈ Z[ω].
-func normO(z ring.ZOmega) (wide, bool) {
-	n2, ok := norm2O(z)
-	return normS(n2).abs(), ok
 }
 
 // gcdS is Solver.gcdZSqrt2To on words.
@@ -185,9 +173,9 @@ func divExactS(y, z ring.ZSqrt2) (q ring.ZSqrt2, exact, ok bool) {
 // rounded quotient q = z·w̄·(w·w̄)•/N(w). Rounding leaves δ = z/w − q with
 // coefficients in [−½, ½], and N(δ) < 1 there: |σ₁(δ)|² + |σ₃(δ)|² =
 // 2·Σδᵢ² ≤ 2, so N(δ) = |σ₁(δ)|²·|σ₃(δ)|² ≤ 1, with equality only at the
-// cube's corners, where N(δ) = ½ (its maximum is 9/16). So N(z − q·w) =
-// N(w)·N(δ) < N(w) always: EuclidState's rescue scan and its gcd's early
-// return never run, and the word path has neither.
+// cube's corners, where N(δ) = ½ (a search finds its maximum, 9/16). So
+// N(z − q·w) = N(w)·N(δ) < N(w) always: EuclidState's rescue scan and its
+// gcd's early return never run, and the word path has neither.
 func euclidO(z, w ring.ZOmega) (ring.ZOmega, bool) {
 	ww, ok := norm2O(w)
 	if !ok {
@@ -212,7 +200,8 @@ func euclidO(z, w ring.ZOmega) (ring.ZOmega, bool) {
 	if !ok {
 		return ring.ZOmega{}, false
 	}
-	return subO(z, qw)
+	r := z.Sub(qw) // below 2^63: no wrap
+	return r, inWord(r.A) && inWord(r.B) && inWord(r.C) && inWord(r.D)
 }
 
 // gcdO is ring.EuclidState.GCD on words.
@@ -414,11 +403,11 @@ func (sv *Solver) splitOmegaWord(pi ring.ZSqrt2, p uint64, square int64, root ri
 	if !ok {
 		return ring.ZOmega{}, handOff
 	}
-	n, ok := normO(eta)
+	n2, ok := norm2O(eta)
 	if !ok {
 		return ring.ZOmega{}, handOff
 	}
-	if n.cmp(wideOf(1)) == 0 {
+	if normS(n2).abs().cmp(wideOf(1)) == 0 {
 		return ring.ZOmega{}, noSolution
 	}
 	return eta, solved
