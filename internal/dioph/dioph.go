@@ -13,14 +13,14 @@
 // A ξ with coefficients below 2^62 and norm below 2^31, as every ξ
 // gridsynth produces down to ε = 1e-10 has, is solved in machine words
 // (word.go): the same steps in the same order, on int64 coefficients with
-// 128-bit products, returning the same t. Any other ξ takes the big.Int
-// path.
+// 128-bit products, returning the same t. It first rejects, by a residue
+// test, ξ whose norm has an odd valuation at a small prime ≡ 7 (mod 8).
+// Any other ξ takes the big.Int path, a plain value-semantics reference
+// that the word path is tested against.
 //
-// The Solver type carries all temporaries, a per-search square-root memo
-// and a cheap residue pre-filter, so a search over many candidates
-// performs no steady-state allocation beyond the t it returns (and
-// math/big growth on the big path); SolveNormEquation is the one-shot
-// convenience wrapper.
+// The Solver type carries the word path's square-root memo and factor
+// buffer across a search, so the word path allocates only the t it
+// returns; SolveNormEquation is the one-shot convenience wrapper.
 package dioph
 
 import (
@@ -36,30 +36,13 @@ const maxRhoIter = 1 << 17
 // Hoisted constants (read-only; never mutated).
 var (
 	bigOne     = big.NewInt(1)
-	bigTwo     = big.NewInt(2)
-	bigNegOne  = big.NewInt(-1)
-	bigNegTwo  = big.NewInt(-2)
 	deltaOmega = ring.NewBOmega(1, 1, 0, 0) // δ = 1 + ω, with δ·δ† = √2·λ
 	rootI      = ring.NewBOmega(0, 0, 1, 0) // ω² = i,      i² = −1
 	rootISqrt2 = ring.NewBOmega(0, 1, 0, 1) // ω + ω³ = i√2, (i√2)² = −2
 )
 
-// preFilterEnabled gates the residue pre-filter. It only exists so the
-// equality tests can prove the filter rejects exactly the candidates the
-// full solver would reject; production code never turns it off.
-var preFilterEnabled = true
-
-// SetPreFilter toggles the residue pre-filter (for tests); it returns the
-// previous setting.
-func SetPreFilter(enabled bool) bool {
-	prev := preFilterEnabled
-	preFilterEnabled = enabled
-	return prev
-}
-
-// fastPath gates the word path (word.go). Like preFilterEnabled it exists
-// so the equality tests can run the big.Int reference engine; production
-// code never turns it off.
+// fastPath gates the word path (word.go). It exists so the equality tests
+// can run the big.Int reference; production code never turns it off.
 var fastPath = true
 
 // SetFastPath toggles the word path (for tests and benchmarks); it
@@ -77,50 +60,24 @@ func SetFastPath(enabled bool) bool {
 var prefilterPrimes = [...]int64{7, 23, 31, 47, 71, 79, 103, 127, 151, 167,
 	191, 199, 223, 239, 263, 271, 311, 359, 367, 383}
 
-// sqrtKey memoizes ModSqrt(square, p) for int64-sized p.
+// sqrtKey keys the word path's square-root memo.
 type sqrtKey struct {
 	square int8
 	p      int64
 }
 
-// Solver carries the scratch state of norm-equation solving: big.Int
-// temporaries, Euclidean gcd rotation slots in both rings, and a per-prime
-// ModSqrt memo. One Solver serves a whole candidate search (it is reused
-// across SolveNormEquation calls); it is not safe for concurrent use.
+// Solver carries the word path's state across a candidate search: the
+// per-prime square-root memo and the factorization buffer. One Solver
+// serves a whole search (it is reused across Solve calls); it is not safe
+// for concurrent use.
 type Solver struct {
-	s   ring.Scratch
-	st  ring.EuclidState
-	rem ring.BSqrt2
-	q   ring.BSqrt2
-	xb  ring.BSqrt2
-	pi  ring.BSqrt2
-	piB ring.BSqrt2
-	d   ring.BSqrt2
-	tt  ring.BSqrt2
-	uq  ring.BSqrt2
-	t   ring.BOmega
-	tmp ring.BOmega
-	trg ring.BOmega
-	n   big.Int
-	n2  big.Int
-	h   big.Int
-	e1  big.Int
-	e2  big.Int
-	// Z[√2] gcd rotation slots and Euclid temporaries.
-	ga, gb, gr, gq ring.BSqrt2
-	gnum, gbt      ring.BSqrt2
-	gn             big.Int
-
-	memo map[sqrtKey]*big.Int
-
-	// Word path: the square-root memo and the factorization.
 	roots  map[sqrtKey]wordRoot
 	powers []wordPower
 }
 
 // NewSolver returns a Solver ready for a candidate search.
 func NewSolver() *Solver {
-	return &Solver{memo: make(map[sqrtKey]*big.Int, 16), roots: make(map[sqrtKey]wordRoot, 16)}
+	return &Solver{roots: make(map[sqrtKey]wordRoot, 16)}
 }
 
 // SolveNormEquation returns t with t·t† = ξ, or ok=false if ξ is not
@@ -130,57 +87,16 @@ func SolveNormEquation(xi ring.BSqrt2) (ring.BOmega, bool) {
 	return NewSolver().Solve(xi)
 }
 
-// modSqrt returns √square mod p (or nil), memoizing per prime for the
-// lifetime of the Solver. square must be small (2, −1 or −2 here); the
-// returned value is shared and must not be mutated.
-func (sv *Solver) modSqrt(square *big.Int, p *big.Int) *big.Int {
-	if p.IsInt64() {
-		k := sqrtKey{square: int8(square.Int64()), p: p.Int64()}
-		if r, ok := sv.memo[k]; ok {
-			return r
-		}
-		r := new(big.Int).ModSqrt(sv.h.Mod(square, p), p)
-		sv.memo[k] = r
-		return r
-	}
-	return new(big.Int).ModSqrt(sv.h.Mod(square, p), p)
-}
-
 // mod8 returns p mod 8 without allocating (p > 0).
 func mod8(p *big.Int) int64 {
 	return int64(p.Bit(0)) | int64(p.Bit(1))<<1 | int64(p.Bit(2))<<2
 }
 
-// preFilter reports whether n = |N(ξ)| passes the cheap necessary
-// conditions (true = may be solvable). It rejects any n with odd
-// valuation at a small prime ≡ 7 (mod 8); the full solver would reject
-// such ξ after factoring, so filtering first only saves work and cannot
-// change the result.
-func (sv *Solver) preFilter(n *big.Int) bool {
-	if v, ok := n.Int64(), n.IsInt64(); ok && v > 0 {
-		return preFilter64(v)
-	}
-	// Big n: same test with scratch big.Ints (still far cheaper than rho).
-	sv.h.Set(n)
-	for _, p := range prefilterPrimes {
-		sv.e2.SetInt64(p)
-		e := 0
-		for {
-			sv.e1.QuoRem(&sv.h, &sv.e2, &sv.n2)
-			if sv.n2.Sign() != 0 {
-				break
-			}
-			sv.h.Set(&sv.e1)
-			e++
-		}
-		if e&1 == 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// preFilter64 is preFilter for 0 < v < 2^63.
+// preFilter64 reports whether 0 < v < 2^63, the norm |N(ξ)|, passes the
+// cheap necessary condition (true = may be solvable): no odd valuation at
+// a prime of prefilterPrimes. The full solver rejects any ξ that fails it
+// after factoring, so filtering first only saves work and cannot change
+// the result.
 func preFilter64(v int64) bool {
 	for _, p := range prefilterPrimes {
 		if v < p {
@@ -200,9 +116,9 @@ func preFilter64(v int64) bool {
 
 // Solve returns t with t·t† = ξ, or ok=false if ξ is not expressible (or
 // the factoring budget was exceeded). The result is freshly allocated and
-// owned by the caller; all intermediates live in the Solver. ξ whose
-// coefficients and norm fit the word path (word.go) is solved in machine
-// words, and any other in big.Int; both return the same answer.
+// owned by the caller. ξ whose coefficients and norm fit the word path
+// (word.go) is solved in machine words, and any other in big.Int; both
+// return the same answer.
 func (sv *Solver) Solve(xi ring.BSqrt2) (ring.BOmega, bool) {
 	if fastPath {
 		switch t, out := sv.solveWord(xi); out {
@@ -215,60 +131,54 @@ func (sv *Solver) Solve(xi ring.BSqrt2) (ring.BOmega, bool) {
 	return sv.solveBig(xi)
 }
 
-// solveBig is Solve in big.Int arithmetic, the reference.
-func (sv *Solver) solveBig(xi ring.BSqrt2) (ring.BOmega, bool) {
+// solveBig is Solve in big.Int arithmetic on values: the reference the
+// word path is tested against, and the path for ξ past its bounds. It
+// keeps no state in the Solver.
+func (*Solver) solveBig(xi ring.BSqrt2) (ring.BOmega, bool) {
 	if xi.IsZero() {
 		return ring.BOmegaFromInt(0), true
 	}
 	// ξ must be totally non-negative.
-	sv.xb.BulletTo(xi)
-	if xi.Sign() < 0 || sv.xb.Sign() < 0 {
+	if xi.Sign() < 0 || xi.Bullet().Sign() < 0 {
 		return ring.BOmega{}, false
 	}
-	sv.t.SetInt64(1, 0, 0, 0)
-	sv.rem.Set(xi)
+	t, rem := ring.BOmegaFromInt(1), xi
 	// Remove √2 factors: √2 | (a + b√2) iff a is even; quotient is b + (a/2)√2.
-	for sv.rem.A.Bit(0) == 0 && !sv.rem.IsZero() {
-		sv.h.Rsh(sv.rem.A, 1)
-		sv.rem.A.Set(sv.rem.B)
-		sv.rem.B.Set(&sv.h)
-		sv.t.MulTo(sv.t, deltaOmega, &sv.s)
+	for rem.A.Bit(0) == 0 && !rem.IsZero() {
+		rem = ring.BSqrt2{A: rem.B, B: new(big.Int).Rsh(rem.A, 1)}
+		t = t.Mul(deltaOmega)
 	}
-	sv.rem.NormZTo(&sv.n, &sv.s)
-	sv.n.Abs(&sv.n)
-	if sv.n.Sign() == 0 {
+	n := rem.NormZ()
+	if n.Sign() == 0 {
 		return ring.BOmega{}, false
 	}
-	if preFilterEnabled && !sv.preFilter(&sv.n) {
-		return ring.BOmega{}, false
-	}
-	factors, ok := Factor(&sv.n)
+	factors, ok := Factor(n.Abs(n))
 	if !ok {
 		return ring.BOmega{}, false
+	}
+	// times multiplies t by f, e times.
+	times := func(f ring.BOmega, e int) {
+		for ; e > 0; e-- {
+			t = t.Mul(f)
+		}
 	}
 	for _, pf := range factors {
 		p := pf.P
 		switch mod8(p) {
 		case 1, 7:
 			// p splits in Z[√2]: π = gcd(p, x − √2), x² ≡ 2 (mod p).
-			x := sv.modSqrt(bigTwo, p)
+			x := modSqrt(2, p)
 			if x == nil {
 				return ring.BOmega{}, false
 			}
-			sv.d.SetInt64(0, 0)
-			sv.d.A.Set(p)
-			sv.tt.SetInt64(0, -1)
-			sv.tt.A.Set(x)
-			sv.gcdZSqrt2To(&sv.pi, sv.d, sv.tt)
-			sv.pi.NormZTo(&sv.n2, &sv.s)
-			if sv.n2.CmpAbs(bigOne) == 0 {
+			pi := gcdZSqrt2(ring.BSqrt2{A: p, B: new(big.Int)}, ring.BSqrt2{A: x, B: big.NewInt(-1)})
+			if pi.NormZ().CmpAbs(bigOne) == 0 {
 				return ring.BOmega{}, false
 			}
-			sv.piB.BulletTo(sv.pi)
-			for _, prime := range [2]*ring.BSqrt2{&sv.pi, &sv.piB} {
+			for _, prime := range [2]ring.BSqrt2{pi, pi.Bullet()} {
 				e := 0
-				for sv.q.DivExactTo(sv.rem, *prime, &sv.s) {
-					sv.rem, sv.q = sv.q, sv.rem
+				for q, ok := rem.DivExact(prime); ok; q, ok = rem.DivExact(prime) {
+					rem = q
 					e++
 				}
 				if e == 0 {
@@ -279,116 +189,80 @@ func (sv *Solver) solveBig(xi ring.BSqrt2) (ring.BOmega, bool) {
 					if e%2 == 1 {
 						return ring.BOmega{}, false
 					}
-					sv.tmp.SetBSqrt2(*prime)
-					for i := 0; i < e/2; i++ {
-						sv.t.MulTo(sv.t, sv.tmp, &sv.s)
-					}
+					times(ring.BOmegaFromBSqrt2(prime), e/2)
 					continue
 				}
 				// p ≡ 1 (mod 8): split π further in Z[ω] via y² ≡ −1.
-				eta, found := sv.splitOmega(*prime, p, bigNegOne, rootI)
+				eta, found := splitOmega(prime, p, -1, rootI)
 				if !found {
 					return ring.BOmega{}, false
 				}
-				for i := 0; i < e; i++ {
-					sv.t.MulTo(sv.t, eta, &sv.s)
+				times(eta, e)
+			}
+		case 3, 5:
+			// Inert in Z[√2]; split in Z[ω] via w² ≡ −2, i√2 = ω + ω³
+			// (p ≡ 3) or y² ≡ −1, i = ω² (p ≡ 5).
+			pz := ring.BSqrt2{A: p, B: new(big.Int)}
+			e := 0
+			for q, ok := rem.DivExact(pz); ok; q, ok = rem.DivExact(pz) {
+				rem = q
+				if e++; e > 512 {
+					return ring.BOmega{}, false
 				}
 			}
-		case 3:
-			// Inert in Z[√2]; split in Z[ω] via w² ≡ −2, i√2 = ω + ω³.
-			e, found := sv.divideOutRational(p)
+			if e == 0 {
+				continue
+			}
+			square, root := int64(-2), rootISqrt2
+			if mod8(p) == 5 {
+				square, root = -1, rootI
+			}
+			mu, found := splitOmega(pz, p, square, root)
 			if !found {
 				return ring.BOmega{}, false
 			}
-			if e > 0 {
-				sv.d.SetInt64(0, 0)
-				sv.d.A.Set(p)
-				mu, got := sv.splitOmega(sv.d, p, bigNegTwo, rootISqrt2)
-				if !got {
-					return ring.BOmega{}, false
-				}
-				for i := 0; i < e; i++ {
-					sv.t.MulTo(sv.t, mu, &sv.s)
-				}
-			}
-		case 5:
-			// Inert in Z[√2]; split in Z[ω] via y² ≡ −1, i = ω².
-			e, found := sv.divideOutRational(p)
-			if !found {
-				return ring.BOmega{}, false
-			}
-			if e > 0 {
-				sv.d.SetInt64(0, 0)
-				sv.d.A.Set(p)
-				nu, got := sv.splitOmega(sv.d, p, bigNegOne, rootI)
-				if !got {
-					return ring.BOmega{}, false
-				}
-				for i := 0; i < e; i++ {
-					sv.t.MulTo(sv.t, nu, &sv.s)
-				}
-			}
+			times(mu, e)
 		default: // p = 2 cannot appear: √2 factors were removed
 			return ring.BOmega{}, false
 		}
 	}
 	// Fix the leftover unit: ξ/(t·t†) must be λ^{2s} (totally positive unit).
-	sv.t.Norm2To(&sv.tt, &sv.s)
-	if !sv.uq.DivExactTo(xi, sv.tt, &sv.s) {
+	uq, ok := xi.DivExact(t.Norm2())
+	if !ok {
 		return ring.BOmega{}, false
 	}
-	j := unitLambdaExponent(sv.uq)
+	j := unitLambdaExponent(uq)
 	if j == nil || *j%2 != 0 {
 		return ring.BOmega{}, false
 	}
-	sv.tmp.SetBSqrt2(ring.PowLambda(*j / 2))
-	sv.t.MulTo(sv.t, sv.tmp, &sv.s)
+	t = t.Mul(ring.BOmegaFromBSqrt2(ring.PowLambda(*j / 2)))
 	// Exact verification — the soundness guarantee.
-	sv.t.Norm2To(&sv.tt, &sv.s)
-	if !sv.tt.Equal(xi) {
+	if !t.Norm2().Equal(xi) {
 		return ring.BOmega{}, false
 	}
-	return sv.t.Clone(), true
+	return t, true
 }
 
-// divideOutRational removes all factors of rational prime p from sv.rem.
-func (sv *Solver) divideOutRational(p *big.Int) (int, bool) {
-	e := 0
-	sv.d.SetInt64(0, 0)
-	sv.d.A.Set(p)
-	for {
-		if !sv.q.DivExactTo(sv.rem, sv.d, &sv.s) {
-			return e, true
-		}
-		sv.rem, sv.q = sv.q, sv.rem
-		e++
-		if e > 512 {
-			return e, false
-		}
-	}
+// modSqrt returns the square root of square mod the odd prime p that
+// big.Int.ModSqrt returns, or nil when square is not a residue.
+func modSqrt(square int64, p *big.Int) *big.Int {
+	x := big.NewInt(square)
+	return new(big.Int).ModSqrt(x.Mod(x, p), p)
 }
 
 // splitOmega finds η ∈ Z[ω] with η·η† = π·(unit), where π is a prime of
 // Z[√2] above rational prime p, by computing gcd(π, r − root) with
-// r² ≡ square (mod p) and root² = square in Z[ω]. The result aliases
-// freshly allocated storage (safe until the caller's next use of it ends).
-func (sv *Solver) splitOmega(pi ring.BSqrt2, p, square *big.Int, root ring.BOmega) (ring.BOmega, bool) {
-	r := sv.modSqrt(square, p)
+// r² ≡ square (mod p) and root² = square in Z[ω].
+func splitOmega(pi ring.BSqrt2, p *big.Int, square int64, root ring.BOmega) (ring.BOmega, bool) {
+	r := modSqrt(square, p)
 	if r == nil {
 		return ring.BOmega{}, false
 	}
-	sv.trg.Ensure()
-	sv.trg.A.Set(r)
-	sv.trg.B.SetInt64(0)
-	sv.trg.C.SetInt64(0)
-	sv.trg.D.SetInt64(0)
-	sv.trg.SubTo(sv.trg, root)
-	sv.tmp.SetBSqrt2(pi)
-	eta := sv.st.GCD(sv.tmp, sv.trg)
+	target := ring.BOmegaFromBSqrt2(ring.BSqrt2{A: r, B: new(big.Int)}).Sub(root)
+	eta := ring.GCD(ring.BOmegaFromBSqrt2(pi), target)
 	// η must be a proper divisor (not a unit, not an associate of π itself
 	// when π splits).
-	eta.NormZTo(&sv.n2, &sv.s)
-	if sv.n2.CmpAbs(bigOne) == 0 {
+	if eta.NormZ().CmpAbs(bigOne) == 0 {
 		return ring.BOmega{}, false
 	}
 	return eta, true
@@ -414,28 +288,18 @@ func unitLambdaExponent(q ring.BSqrt2) *int {
 	return nil
 }
 
-// gcdZSqrt2To computes gcd(a, b) in Z[√2] into dst via the Euclidean
-// algorithm with coefficient-rounding division (always norm-reducing in
-// Z[√2]), reusing the Solver's rotation slots.
-func (sv *Solver) gcdZSqrt2To(dst *ring.BSqrt2, a, b ring.BSqrt2) {
-	sv.ga.Set(a)
-	sv.gb.Set(b)
-	for !sv.gb.IsZero() {
-		sv.euclidZSqrt2(sv.ga, sv.gb)
-		sv.ga, sv.gb, sv.gr = sv.gb, sv.gr, sv.ga
+// gcdZSqrt2 returns gcd(a, b) in Z[√2] by the Euclidean algorithm: each
+// step rounds the coefficients of a/b = a·b•/N(b) to the nearest integer
+// (ring.RoundQuoTo), which always shrinks |N| in Z[√2].
+func gcdZSqrt2(a, b ring.BSqrt2) ring.BSqrt2 {
+	t1, t2 := new(big.Int), new(big.Int)
+	for !b.IsZero() {
+		n := b.NormZ() // may be negative
+		num := a.Mul(b.Bullet())
+		q := ring.NewBSqrt2(0, 0)
+		ring.RoundQuoTo(q.A, num.A, n, t1, t2)
+		ring.RoundQuoTo(q.B, num.B, n, t1, t2)
+		a, b = b, a.Sub(q.Mul(b))
 	}
-	dst.Set(sv.ga)
-}
-
-// euclidZSqrt2 computes q, r with a = q·b + r and |N(r)| < |N(b)| into
-// sv.gq and sv.gr.
-func (sv *Solver) euclidZSqrt2(a, b ring.BSqrt2) {
-	b.NormZTo(&sv.gn, &sv.s) // may be negative
-	sv.gbt.BulletTo(b)
-	sv.gnum.MulTo(a, sv.gbt, &sv.s)
-	sv.gq.Ensure()
-	ring.RoundQuoTo(sv.gq.A, sv.gnum.A, &sv.gn, &sv.e1, &sv.e2)
-	ring.RoundQuoTo(sv.gq.B, sv.gnum.B, &sv.gn, &sv.e1, &sv.e2)
-	sv.gbt.MulTo(sv.gq, b, &sv.s)
-	sv.gr.SubTo(a, sv.gbt)
+	return a
 }

@@ -2,7 +2,9 @@ package dioph
 
 import "repro/internal/ring"
 
-// The word path: Solve's steps, in Solve's order, on int64 coefficients.
+// The word path: the big path's steps, in its order, on int64
+// coefficients, with one step added: a residue pre-filter (preFilter64)
+// that rejects before factoring what factoring would reject.
 // Every product is a wide and every stored result passes narrow, so a
 // value that would leave the word range is caught before it is stored;
 // the call is then handed to the big path from its start, which returns
@@ -124,7 +126,7 @@ func norm2O(z ring.ZOmega) (ring.ZSqrt2, bool) {
 	return ring.ZSqrt2{A: a, B: b}, okA && okB
 }
 
-// gcdS is Solver.gcdZSqrt2To on words.
+// gcdS is gcdZSqrt2 on words.
 func gcdS(a, b ring.ZSqrt2) (ring.ZSqrt2, bool) {
 	for !b.IsZero() {
 		n := normS(b)
@@ -147,7 +149,7 @@ func gcdS(a, b ring.ZSqrt2) (ring.ZSqrt2, bool) {
 	return a, true
 }
 
-// divExactS is ring.BSqrt2.DivExactTo on words: y/z, exact reports
+// divExactS is ring.BSqrt2.DivExact on words: y/z, exact reports
 // whether z divides y, and ok=false means a value left the word range.
 func divExactS(y, z ring.ZSqrt2) (q ring.ZSqrt2, exact, ok bool) {
 	n := normS(z)
@@ -169,13 +171,9 @@ func divExactS(y, z ring.ZSqrt2) (q ring.ZSqrt2, exact, ok bool) {
 	return ring.ZSqrt2{A: qa, B: qb}, rb.isZero(), true
 }
 
-// euclidO returns the remainder of z by w ≠ 0 under ring.EuclidState's
-// rounded quotient q = z·w̄·(w·w̄)•/N(w). Rounding leaves δ = z/w − q with
-// coefficients in [−½, ½], and N(δ) < 1 there: |σ₁(δ)|² + |σ₃(δ)|² =
-// 2·Σδᵢ² ≤ 2, so N(δ) = |σ₁(δ)|²·|σ₃(δ)|² ≤ 1, with equality only at the
-// cube's corners, where N(δ) = ½ (a search finds its maximum, 9/16). So
-// N(z − q·w) = N(w)·N(δ) < N(w) always: EuclidState's rescue scan and its
-// gcd's early return never run, and the word path has neither.
+// euclidO is ring.EuclideanDiv's remainder on words: z − q·w for w ≠ 0,
+// with q the coefficient-wise rounding of z·w̄·(w·w̄)•/N(w), so
+// N(z − q·w) ≤ (9/16)·N(w) (see ring.EuclideanDiv).
 func euclidO(z, w ring.ZOmega) (ring.ZOmega, bool) {
 	ww, ok := norm2O(w)
 	if !ok {
@@ -204,7 +202,7 @@ func euclidO(z, w ring.ZOmega) (ring.ZOmega, bool) {
 	return r, inWord(r.A) && inWord(r.B) && inWord(r.C) && inWord(r.D)
 }
 
-// gcdO is ring.EuclidState.GCD on words.
+// gcdO is ring.GCD on words.
 func gcdO(a, b ring.ZOmega) (ring.ZOmega, bool) {
 	for !b.IsZero() {
 		r, ok := euclidO(a, b)
@@ -273,7 +271,7 @@ func (sv *Solver) solveWord(xi ring.BSqrt2) (ring.ZOmega, outcome) {
 	if n == 0 {
 		return ring.ZOmega{}, noSolution
 	}
-	if preFilterEnabled && !preFilter64(n) {
+	if !preFilter64(n) {
 		return ring.ZOmega{}, noSolution
 	}
 	factors, ok := sv.factorWord(uint64(n))
@@ -393,7 +391,7 @@ func (sv *Solver) solveWord(xi ring.BSqrt2) (ring.ZOmega, outcome) {
 	return t, solved
 }
 
-// splitOmegaWord is Solver.splitOmega on words.
+// splitOmegaWord is splitOmega on words.
 func (sv *Solver) splitOmegaWord(pi ring.ZSqrt2, p uint64, square int64, root ring.ZOmega) (ring.ZOmega, outcome) {
 	r, found := sv.rootMod(square, p)
 	if !found {

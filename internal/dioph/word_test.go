@@ -149,10 +149,9 @@ func TestRootModMatchesModSqrt(t *testing.T) {
 
 // TestEuclidMatchesBig holds the word path's Euclidean steps to the big
 // path's on random pairs, balanced and skewed by powers of λ: euclidO's
-// remainder to ring.EuclideanDiv's, gcdO to ring.GCD, gcdS to
-// Solver.gcdZSqrt2To, and unitExponentWord to unitLambdaExponent on the
-// units in range, their negatives and conjugates, and non-units beside
-// them.
+// remainder to ring.EuclideanDiv's, gcdO to ring.GCD, gcdS to gcdZSqrt2,
+// and unitExponentWord to unitLambdaExponent on the units in range, their
+// negatives and conjugates, and non-units beside them.
 func TestEuclidMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	lambda := ring.Lambda.ToZOmega()
@@ -164,8 +163,6 @@ func TestEuclidMatchesBig(t *testing.T) {
 		}
 		return z
 	}
-	sv := NewSolver()
-	var gb ring.BSqrt2
 	for i := 0; i < 20000; i++ {
 		z, w := omega(), omega()
 		if w.IsZero() {
@@ -185,9 +182,9 @@ func TestEuclidMatchesBig(t *testing.T) {
 			continue
 		}
 		gs, ok := gcdS(a, b)
-		sv.gcdZSqrt2To(&gb, ring.BSqrt2FromZSqrt2(a), ring.BSqrt2FromZSqrt2(b))
+		gb := gcdZSqrt2(ring.BSqrt2FromZSqrt2(a), ring.BSqrt2FromZSqrt2(b))
 		if !ok || !ring.BSqrt2FromZSqrt2(gs).Equal(gb) {
-			t.Fatalf("gcdS(%v, %v) = %v, %v; gcdZSqrt2To: %v", a, b, gs, ok, gb)
+			t.Fatalf("gcdS(%v, %v) = %v, %v; gcdZSqrt2: %v", a, b, gs, ok, gb)
 		}
 	}
 	for j := -49; j <= 49; j++ {

@@ -42,7 +42,7 @@ func TestAllocBudget(t *testing.T) {
 		got := testing.AllocsPerRun(20, op)
 		t.Logf("eps=%s: %.0f allocs/op (budget %.0f)", name, got, budget)
 		if got > budget {
-			t.Errorf("eps=%s: %.0f allocs/op exceeds budget %.0f — the hot path regressed; see BENCH_gridsynth.json and DESIGN.md §Engine performance", name, got, budget)
+			t.Errorf("eps=%s: %.0f allocs/op exceeds budget %.0f — the hot path regressed; see BenchmarkRz and DESIGN.md §Engine performance", name, got, budget)
 		}
 	}
 }

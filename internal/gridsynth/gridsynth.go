@@ -66,8 +66,8 @@ const maxK = 120
 // Rz synthesizes Rz(theta) to unitary distance ≤ eps.
 //
 // The hot-path state — candidate geometry per phase grid, the Diophantine
-// solver with its scratch and per-prime memo, and the in-place ring
-// temporaries — is created once here and reused across every
+// solver with its word path's square-root memo, and the in-place ring
+// temporaries that form ξ — is created once here and reused across every
 // (k, candidate) pair, so the search allocates only when it finds a
 // solution (plus unavoidable math/big growth).
 //
@@ -83,8 +83,11 @@ const maxK = 120
 // the scanned region to the bound changes no answer that region does not
 // contain.
 func Rz(theta, eps float64, opt Options) (Result, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		return Result{}, fmt.Errorf("gridsynth: eps %v out of range (0,1)", eps)
+	}
+	if math.IsNaN(theta) || math.IsInf(theta, 0) {
+		return Result{}, fmt.Errorf("gridsynth: theta %v is not finite", theta)
 	}
 	target := qmat.Rz(theta)
 	pow2k := ring.NewBSqrt2(1, 0)

@@ -1,6 +1,7 @@
 package gridsynth
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
@@ -109,6 +110,12 @@ func TestRzRejectsBadEps(t *testing.T) {
 	}
 	if _, err := Rz(1.0, 1.5, Options{}); err == nil {
 		t.Error("eps>1 should error")
+	}
+	if _, err := Rz(1.0, math.NaN(), Options{}); err == nil || errors.Is(err, ErrNoSolution) {
+		t.Errorf("eps=NaN: error %v, want the range error", err)
+	}
+	if _, err := Rz(math.Inf(1), 1e-2, Options{}); err == nil || errors.Is(err, ErrNoSolution) {
+		t.Errorf("theta=+Inf: error %v, want a refusal", err)
 	}
 }
 

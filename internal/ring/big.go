@@ -6,9 +6,9 @@ import (
 )
 
 // BSqrt2 is an element a + b√2 of Z[√2] with arbitrary-precision
-// coefficients. The value-semantics methods below allocate fresh big.Ints
-// for their results; hot paths use the in-place *To methods in inplace.go
-// (of which these are thin wrappers).
+// coefficients. The value methods below never modify their operands and
+// return fresh big.Ints; gridsynth's candidate loop uses the in-place
+// forms in inplace.go.
 type BSqrt2 struct {
 	A, B *big.Int
 }
@@ -28,9 +28,7 @@ func (x BSqrt2) Clone() BSqrt2 {
 
 // Add returns x + y.
 func (x BSqrt2) Add(y BSqrt2) BSqrt2 {
-	var z BSqrt2
-	z.AddTo(x, y)
-	return z
+	return BSqrt2{new(big.Int).Add(x.A, y.A), new(big.Int).Add(x.B, y.B)}
 }
 
 // Sub returns x − y.
@@ -42,9 +40,7 @@ func (x BSqrt2) Sub(y BSqrt2) BSqrt2 {
 
 // Neg returns −x.
 func (x BSqrt2) Neg() BSqrt2 {
-	var z BSqrt2
-	z.NegTo(x)
-	return z
+	return BSqrt2{new(big.Int).Neg(x.A), new(big.Int).Neg(x.B)}
 }
 
 // Mul returns x·y.
@@ -64,10 +60,9 @@ func (x BSqrt2) Bullet() BSqrt2 {
 
 // NormZ returns x·x• = a² − 2b² as a big integer.
 func (x BSqrt2) NormZ() *big.Int {
-	n := new(big.Int)
-	var s Scratch
-	x.NormZTo(n, &s)
-	return n
+	n := new(big.Int).Mul(x.A, x.A)
+	t := new(big.Int).Mul(x.B, x.B)
+	return n.Sub(n, t.Lsh(t, 1))
 }
 
 // IsZero reports whether x = 0.
@@ -133,12 +128,19 @@ func (x BSqrt2) Sign() int {
 // DivExact returns x/y if y exactly divides x in Z[√2], with ok=false
 // otherwise. x/y = x·y• / N(y).
 func (x BSqrt2) DivExact(y BSqrt2) (BSqrt2, bool) {
-	var z BSqrt2
-	var s Scratch
-	if !z.DivExactTo(x, y, &s) {
+	n := y.NormZ()
+	if n.Sign() == 0 {
 		return BSqrt2{}, false
 	}
-	return z, true
+	p := x.Mul(y.Bullet())
+	r := new(big.Int)
+	if p.A.QuoRem(p.A, n, r); r.Sign() != 0 {
+		return BSqrt2{}, false
+	}
+	if p.B.QuoRem(p.B, n, r); r.Sign() != 0 {
+		return BSqrt2{}, false
+	}
+	return p, true
 }
 
 // PowLambda returns λ^j for any integer j (λ = 1+√2, λ⁻¹ = √2−1).
@@ -148,10 +150,9 @@ func PowLambda(j int) BSqrt2 {
 		base = NewBSqrt2(-1, 1)
 		j = -j
 	}
-	var s Scratch
 	r := NewBSqrt2(1, 0)
 	for i := 0; i < j; i++ {
-		r.MulTo(r, base, &s)
+		r = r.Mul(base)
 	}
 	return r
 }
@@ -175,6 +176,11 @@ func BOmegaFromZOmega(z ZOmega) BOmega { return NewBOmega(z.A, z.B, z.C, z.D) }
 
 // BOmegaFromInt returns the rational integer n.
 func BOmegaFromInt(n int64) BOmega { return NewBOmega(n, 0, 0, 0) }
+
+// BOmegaFromBSqrt2 embeds x = a + b√2 into Z[ω] (√2 = ω − ω³).
+func BOmegaFromBSqrt2(x BSqrt2) BOmega {
+	return BOmega{new(big.Int).Set(x.A), new(big.Int).Set(x.B), new(big.Int), new(big.Int).Neg(x.B)}
+}
 
 // Clone returns a deep copy.
 func (z BOmega) Clone() BOmega {
@@ -202,23 +208,20 @@ func (z BOmega) Equal(w BOmega) bool {
 
 // Add returns z + w.
 func (z BOmega) Add(w BOmega) BOmega {
-	var r BOmega
-	r.AddTo(z, w)
-	return r
+	return BOmega{new(big.Int).Add(z.A, w.A), new(big.Int).Add(z.B, w.B),
+		new(big.Int).Add(z.C, w.C), new(big.Int).Add(z.D, w.D)}
 }
 
 // Sub returns z − w.
 func (z BOmega) Sub(w BOmega) BOmega {
-	var r BOmega
-	r.SubTo(z, w)
-	return r
+	return BOmega{new(big.Int).Sub(z.A, w.A), new(big.Int).Sub(z.B, w.B),
+		new(big.Int).Sub(z.C, w.C), new(big.Int).Sub(z.D, w.D)}
 }
 
 // Neg returns −z.
 func (z BOmega) Neg() BOmega {
-	var r BOmega
-	r.NegTo(z)
-	return r
+	return BOmega{new(big.Int).Neg(z.A), new(big.Int).Neg(z.B),
+		new(big.Int).Neg(z.C), new(big.Int).Neg(z.D)}
 }
 
 // MulOmega returns ω·z: (a,b,c,d) ↦ (−d,a,b,c).
@@ -237,26 +240,38 @@ func (z BOmega) MulPhase(j int) BOmega {
 	return r
 }
 
-// Mul returns z·w.
+// Mul returns z·w (polynomial multiplication modulo ω⁴ = −1).
 func (z BOmega) Mul(w BOmega) BOmega {
-	var r BOmega
-	var s Scratch
-	r.MulTo(z, w, &s)
-	return r
+	t := new(big.Int)
+	a := new(big.Int).Mul(z.A, w.A)
+	a.Sub(a, t.Mul(z.B, w.D))
+	a.Sub(a, t.Mul(z.C, w.C))
+	a.Sub(a, t.Mul(z.D, w.B))
+	b := new(big.Int).Mul(z.A, w.B)
+	b.Add(b, t.Mul(z.B, w.A))
+	b.Sub(b, t.Mul(z.C, w.D))
+	b.Sub(b, t.Mul(z.D, w.C))
+	c := new(big.Int).Mul(z.A, w.C)
+	c.Add(c, t.Mul(z.B, w.B))
+	c.Add(c, t.Mul(z.C, w.A))
+	c.Sub(c, t.Mul(z.D, w.D))
+	d := new(big.Int).Mul(z.A, w.D)
+	d.Add(d, t.Mul(z.B, w.C))
+	d.Add(d, t.Mul(z.C, w.B))
+	d.Add(d, t.Mul(z.D, w.A))
+	return BOmega{a, b, c, d}
 }
 
 // Conj returns the complex conjugate: (a,b,c,d) ↦ (a,−d,−c,−b).
 func (z BOmega) Conj() BOmega {
-	var r BOmega
-	r.ConjTo(z)
-	return r
+	return BOmega{new(big.Int).Set(z.A), new(big.Int).Neg(z.D),
+		new(big.Int).Neg(z.C), new(big.Int).Neg(z.B)}
 }
 
 // Bullet returns the √2-conjugate: (a,b,c,d) ↦ (a,−b,c,−d).
 func (z BOmega) Bullet() BOmega {
-	var r BOmega
-	r.BulletTo(z)
-	return r
+	return BOmega{new(big.Int).Set(z.A), new(big.Int).Neg(z.B),
+		new(big.Int).Set(z.C), new(big.Int).Neg(z.D)}
 }
 
 // Norm2 returns z·z̄ = |z|² as an element of Z[√2].
@@ -269,10 +284,8 @@ func (z BOmega) Norm2() BSqrt2 {
 
 // NormZ returns the absolute rational norm N(z) = N_{Z[√2]/Z}(z·z̄) ≥ 0.
 func (z BOmega) NormZ() *big.Int {
-	n := new(big.Int)
-	var s Scratch
-	z.NormZTo(n, &s)
-	return n
+	n := z.Norm2().NormZ()
+	return n.Abs(n)
 }
 
 // DivisibleBySqrt2 reports whether z/√2 ∈ Z[ω].
@@ -282,20 +295,14 @@ func (z BOmega) DivisibleBySqrt2() bool {
 	return z.A.Bit(0) == z.C.Bit(0) && z.B.Bit(0) == z.D.Bit(0)
 }
 
-// DivSqrt2 returns z/√2 (caller ensures divisibility).
+// DivSqrt2 returns z/√2 (caller ensures divisibility): with √2 = ω − ω³,
+// z/√2 = ((b−d)/2, (a+c)/2, (b+d)/2, (c−a)/2).
 func (z BOmega) DivSqrt2() BOmega {
-	var r BOmega
-	var s Scratch
-	r.DivSqrt2To(z, &s)
-	return r
-}
-
-// MulSqrt2 returns z·√2.
-func (z BOmega) MulSqrt2() BOmega {
-	var r BOmega
-	var s Scratch
-	r.MulSqrt2To(z, &s)
-	return r
+	a := new(big.Int).Sub(z.B, z.D)
+	b := new(big.Int).Add(z.A, z.C)
+	c := new(big.Int).Add(z.B, z.D)
+	d := new(big.Int).Sub(z.C, z.A)
+	return BOmega{a.Rsh(a, 1), b.Rsh(b, 1), c.Rsh(c, 1), d.Rsh(d, 1)}
 }
 
 // Complex returns the float64 embedding (valid while coefficients fit in
@@ -313,28 +320,10 @@ func (z BOmega) String() string {
 	return fmt.Sprintf("(%v%+vω%+vω²%+vω³)", z.A, z.B, z.C, z.D)
 }
 
-// EuclidState carries the reusable temporaries of Euclidean division and
-// gcd in Z[ω]. One state serves a whole search; the zero value is ready.
-// Not safe for concurrent use.
-type EuclidState struct {
-	s          Scratch
-	a, b, q, r BOmega // owned rotation slots for the gcd loop
-	t, num     BOmega
-	ww, wb     BSqrt2
-	n, e1, e2  big.Int
-	nb, nr     big.Int
-}
-
-// nearestTo sets dst to the integer nearest x/n (|n| > 0), using the
-// state's temporaries.
-func (st *EuclidState) nearestTo(dst, x *big.Int) {
-	RoundQuoTo(dst, x, &st.n, &st.e1, &st.e2)
-}
-
-// RoundQuoTo sets dst to the integer nearest x/n (n ≠ 0), drawing its two
-// temporaries from the caller (the scratch-threading idiom). It is the
-// single implementation of nearest-integer division shared by the Z[ω]
-// Euclid state here and the Z[√2] Euclid loop in the Diophantine solver.
+// RoundQuoTo sets dst to the integer nearest x/n (n ≠ 0), halves rounding
+// toward zero, using t1 and t2 as temporaries. Both Euclidean divisions
+// round through it: EuclideanDiv here, and the norm equation's gcd in
+// Z[√2]; the word path's roundQuo is tested against it.
 func RoundQuoTo(dst, x, n, t1, t2 *big.Int) {
 	dst.Quo(x, n)
 	// Truncated quotient is within 1 of the nearest integer.
@@ -359,98 +348,34 @@ func RoundQuoTo(dst, x, n, t1, t2 *big.Int) {
 	}
 }
 
-// euclidTo computes q, r with z = q·w + r into the state's q/r slots
-// (mirroring EuclideanDiv, including the rare rescue scan).
-func (st *EuclidState) euclidTo(z, w BOmega) {
-	s := &st.s
-	w.Norm2To(&st.ww, s) // w·w̄ ∈ Z[√2]
-	st.ww.NormZTo(&st.n, s)
-	st.t.ConjTo(w)
-	st.num.MulTo(z, st.t, s) // z·w̄
-	st.wb.BulletTo(st.ww)
-	st.t.SetBSqrt2(st.wb)
-	st.num.MulTo(st.num, st.t, s)
-	st.q.ensure()
-	st.nearestTo(st.q.A, st.num.A)
-	st.nearestTo(st.q.B, st.num.B)
-	st.nearestTo(st.q.C, st.num.C)
-	st.nearestTo(st.q.D, st.num.D)
-	st.t.MulTo(st.q, w, s)
-	st.r.SubTo(z, st.t)
-	if st.r.IsZero() {
-		return
-	}
-	st.r.NormZTo(&st.nr, s)
-	w.NormZTo(&st.nb, s)
-	if st.nr.Cmp(&st.nb) < 0 {
-		return
-	}
-	// Rescue: scan the 3^4 neighborhood of q for a norm-decreasing
-	// remainder (rare; value-semantics ops are fine here).
-	bestQ, bestR := st.q.Clone(), st.r.Clone()
-	bestN := new(big.Int).Set(&st.nr)
-	for da := int64(-1); da <= 1; da++ {
-		for db := int64(-1); db <= 1; db++ {
-			for dc := int64(-1); dc <= 1; dc++ {
-				for dd := int64(-1); dd <= 1; dd++ {
-					cand := st.q.Add(NewBOmega(da, db, dc, dd))
-					cr := z.Sub(cand.Mul(w))
-					if cn := cr.NormZ(); cn.Cmp(bestN) < 0 {
-						bestQ, bestR, bestN = cand, cr, cn
-					}
-				}
-			}
-		}
-	}
-	st.q.Set(bestQ)
-	st.r.Set(bestR)
-}
-
-// GCD computes a greatest common divisor of z and w (as ring.GCD) reusing
-// the state's storage. The result is freshly allocated and owned by the
-// caller.
-func (st *EuclidState) GCD(z, w BOmega) BOmega {
-	st.a.Set(z)
-	st.b.Set(w)
-	s := &st.s
-	for !st.b.IsZero() {
-		st.euclidTo(st.a, st.b)
-		if !st.r.IsZero() {
-			st.r.NormZTo(&st.nr, s)
-			st.b.NormZTo(&st.nb, s)
-			if st.nr.Cmp(&st.nb) >= 0 {
-				return st.b.Clone()
-			}
-		}
-		st.a, st.b, st.r = st.b, st.r, st.a
-	}
-	return st.a.Clone()
-}
-
-// EuclideanDiv returns q, r with z = q·w + r, choosing q near z/w in Q[ω]
-// by coefficient-wise rounding. Coefficient rounding alone does not always
-// give N(r) < N(w) in Z[ω], so neighbors of the rounded quotient are also
-// tried and the smallest-norm remainder wins.
+// EuclideanDiv returns q, r with z = q·w + r (w ≠ 0), rounding each
+// coefficient of z/w = z·w̄·(w·w̄)•/N(w) to the nearest integer.
+//
+// Rounding alone always shrinks the norm. It leaves δ = z/w − q with
+// coefficients in [−½, ½]. With σ₁, σ₃ the complex embeddings ω ↦ e^{iπ/4}
+// and ω ↦ e^{3iπ/4}, |σ₁(δ)|² + |σ₃(δ)|² = 2·Σδᵢ² ≤ 2, so N(δ) =
+// |σ₁(δ)|²·|σ₃(δ)|² ≤ 1; its maximum over the cube is 9/16, at
+// δ = (−½, −½, 0, −½). So N(r) = N(w)·N(δ) ≤ (9/16)·N(w) < N(w).
 func EuclideanDiv(z, w BOmega) (q, r BOmega) {
-	var st EuclidState
-	st.euclidTo(z, w)
-	return st.q.Clone(), st.r.Clone()
+	ww := w.Norm2()
+	n := ww.NormZ() // > 0: w·w̄ is totally positive
+	num := z.Mul(w.Conj()).Mul(BOmegaFromBSqrt2(ww.Bullet()))
+	q = NewBOmega(0, 0, 0, 0)
+	t1, t2 := new(big.Int), new(big.Int)
+	RoundQuoTo(q.A, num.A, n, t1, t2)
+	RoundQuoTo(q.B, num.B, n, t1, t2)
+	RoundQuoTo(q.C, num.C, n, t1, t2)
+	RoundQuoTo(q.D, num.D, n, t1, t2)
+	return q, z.Sub(q.Mul(w))
 }
 
 // GCD returns a greatest common divisor of z and w in Z[ω] (unique up to
-// units), via the Euclidean algorithm. If division ever fails to shrink the
-// norm (possible only through a rounding pathology), the current candidate
-// is returned; callers that need certainty verify divisibility afterwards.
+// units), via the Euclidean algorithm; each EuclideanDiv shrinks the
+// norm, so it terminates.
 func GCD(z, w BOmega) BOmega {
-	var st EuclidState
-	return st.GCD(z, w)
-}
-
-// DivExactOmega returns z/w when w exactly divides z in Z[ω].
-func DivExactOmega(z, w BOmega) (BOmega, bool) {
-	q, r := EuclideanDiv(z, w)
-	if !r.IsZero() {
-		return BOmega{}, false
+	for !w.IsZero() {
+		_, r := EuclideanDiv(z, w)
+		z, w = w, r
 	}
-	return q, true
+	return z.Clone()
 }

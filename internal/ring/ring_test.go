@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -263,23 +264,38 @@ func TestBOmegaMatchesSmall(t *testing.T) {
 	}
 }
 
+// TestEuclideanDivAndGCD: z = q·w + r with 16·N(r) ≤ 9·N(w), the bound
+// EuclideanDiv's coefficient rounding guarantees, on balanced random
+// pairs and on pairs skewed by λ^m; and gcd(g·a, g·b) is divisible by g.
 func TestEuclideanDivAndGCD(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		z := BOmegaFromZOmega(randZOmega(rng, 500))
-		w := BOmegaFromZOmega(randZOmega(rng, 50))
+	lambda := Lambda.ToZOmega()
+	skewed := func(bound int64) ZOmega {
+		z := randZOmega(rng, bound)
+		for m := rng.Intn(8); m > 0; m-- {
+			z = z.Mul(lambda)
+		}
+		return z
+	}
+	nine, sixteen := big.NewInt(9), big.NewInt(16)
+	for i := 0; i < 400; i++ {
+		z, w := randZOmega(rng, 500), randZOmega(rng, 50)
+		if i%2 == 1 {
+			z, w = skewed(1<<20), skewed(1<<10)
+		}
 		if w.IsZero() {
 			continue
 		}
-		q, r := EuclideanDiv(z, w)
-		if !q.Mul(w).Add(r).Equal(z) {
+		bz, bw := BOmegaFromZOmega(z), BOmegaFromZOmega(w)
+		q, r := EuclideanDiv(bz, bw)
+		if !q.Mul(bw).Add(r).Equal(bz) {
 			t.Fatal("z ≠ q·w + r")
 		}
-		if !r.IsZero() && r.NormZ().Cmp(w.NormZ()) >= 0 {
-			t.Fatalf("remainder norm not reduced: N(r)=%v N(w)=%v", r.NormZ(), w.NormZ())
+		nr, nw := r.NormZ(), bw.NormZ()
+		if nr.Mul(nr, sixteen).Cmp(nw.Mul(nw, nine)) > 0 {
+			t.Fatalf("N(r) > (9/16)·N(w): z=%v w=%v r=%v", z, w, r)
 		}
 	}
-	// gcd(g·a, g·b) must be divisible by g.
 	for i := 0; i < 100; i++ {
 		g := BOmegaFromZOmega(randZOmega(rng, 5))
 		a := BOmegaFromZOmega(randZOmega(rng, 20))
@@ -291,9 +307,71 @@ func TestEuclideanDivAndGCD(t *testing.T) {
 		if d.IsZero() {
 			continue
 		}
-		if _, ok := DivExactOmega(d, g); !ok {
+		if _, r := EuclideanDiv(d, g); !r.IsZero() {
 			t.Fatalf("gcd(g·a, g·b) = %v not divisible by g = %v", d, g)
 		}
+	}
+}
+
+// TestInPlaceMatchesValue: the in-place forms gridsynth's candidate loop
+// calls give the value forms' results, into a receiver reused across
+// trials as the loop reuses its temporaries, and with the receiver
+// aliased to an operand, as in pow2k.MulTo(pow2k, two, &scr).
+func TestInPlaceMatchesValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	randS := func() BSqrt2 {
+		x := NewBSqrt2(rng.Int63()>>uint(rng.Intn(63)), rng.Int63()>>uint(rng.Intn(63)))
+		if rng.Intn(2) == 0 {
+			x.A.Neg(x.A)
+		}
+		if rng.Intn(2) == 0 {
+			x.B.Neg(x.B)
+		}
+		return x.Mul(x).Add(x) // coefficients past int64
+	}
+	check := func(name string, got, want BSqrt2) {
+		t.Helper()
+		if !got.Equal(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	var scr Scratch
+	var x BSqrt2
+	var u BOmega
+	for i := 0; i < 500; i++ {
+		y, z := randS(), randS()
+		x.SubTo(y, z)
+		check("SubTo", x, y.Sub(z))
+		x.BulletTo(y)
+		check("BulletTo", x, y.Bullet())
+		x.MulTo(y, z, &scr)
+		check("MulTo", x, y.Mul(z))
+		w := randZOmega(rng, 1<<40)
+		u.SetZOmega(w)
+		if !u.Equal(BOmegaFromZOmega(w)) {
+			t.Fatalf("SetZOmega(%v) = %v", w, u)
+		}
+		u.Norm2To(&x, &scr)
+		check("Norm2To", x, BOmegaFromZOmega(w).Norm2())
+
+		a := y.Clone()
+		a.SubTo(a, z)
+		check("SubTo(a, z)", a, y.Sub(z))
+		a = z.Clone()
+		a.SubTo(y, a)
+		check("SubTo(y, a)", a, y.Sub(z))
+		a = y.Clone()
+		a.BulletTo(a)
+		check("BulletTo(a)", a, y.Bullet())
+		a = y.Clone()
+		a.MulTo(a, z, &scr)
+		check("MulTo(a, z)", a, y.Mul(z))
+		a = z.Clone()
+		a.MulTo(y, a, &scr)
+		check("MulTo(y, a)", a, y.Mul(z))
+		a = y.Clone()
+		a.MulTo(a, a, &scr)
+		check("MulTo(a, a)", a, y.Mul(y))
 	}
 }
 

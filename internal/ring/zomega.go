@@ -6,9 +6,12 @@
 //	D[ω]   = Z[ω, 1/√2]                       (entries of Clifford+T matrices)
 //
 // Two parallel implementations are provided: machine int64 coefficients
-// (fast path, used by the step-0 enumeration where magnitudes stay small)
-// and math/big coefficients (used by gridsynth, the Diophantine solver and
-// exact synthesis where denominators grow like 2^k for k ≈ 1.5·log2(1/ε)).
+// (ZOmega, ZSqrt2, UMat: the step-0 table, exact synthesis's peel loop and
+// the norm equation's word path) and math/big coefficients (BOmega,
+// BSqrt2: gridsynth's u and ξ = 2^k − u·ū, exact synthesis of its
+// solutions, and the reference paths that the int64 ones are tested
+// against). The big types have value methods; only gridsynth's candidate
+// loop uses their in-place forms (inplace.go).
 package ring
 
 import (
