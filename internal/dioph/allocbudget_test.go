@@ -2,7 +2,6 @@ package dioph
 
 import (
 	"encoding/json"
-	"math/big"
 	"os"
 	"testing"
 
@@ -37,9 +36,9 @@ func TestAllocBudget(t *testing.T) {
 	if !ok {
 		t.Fatalf("alloc_budget.json has no budget for %s", name)
 	}
-	var xis []ring.BSqrt2
+	var xis []ring.ZSqrt2
 	for _, xi := range goldenXis() {
-		if new(big.Int).Abs(xi.NormZ()).Cmp(big.NewInt(1<<31)) < 0 {
+		if belowNormLimit(xi) {
 			xis = append(xis, xi)
 		}
 	}

@@ -10,17 +10,17 @@
 // caller simply moves to the next grid candidate (standard gridsynth
 // practice; completeness is heuristic, soundness is exact).
 //
-// A ξ with coefficients below 2^62 and norm below 2^31, as every ξ
-// gridsynth produces down to ε = 1e-10 has, is solved in machine words
-// (word.go): the same steps in the same order, on int64 coefficients with
-// 128-bit products, returning the same t. It first rejects, by a residue
-// test, ξ whose norm has an odd valuation at a small prime ≡ 7 (mod 8).
-// Any other ξ takes the big.Int path, a plain value-semantics reference
-// that the word path is tested against.
+// ξ and t are int64-coefficient ring elements. A ξ with coefficients
+// below 2^62 and norm below 2^31, as every ξ gridsynth produces down to
+// ε = 1e-10 has, is solved in machine words (word.go): the same steps in
+// the same order, on int64 coefficients with 128-bit products, returning
+// the same t. It first rejects, by a residue test, ξ whose norm has an
+// odd valuation at a small prime ≡ 7 (mod 8). Any other ξ is lifted to
+// the big.Int path, a plain value-semantics reference that the word path
+// is tested against, and its t narrowed back.
 //
 // The Solver type carries the word path's square-root memo and factor
-// buffer across a search, so the word path allocates only the t it
-// returns; SolveNormEquation is the one-shot convenience wrapper.
+// buffer across a search, so the word path allocates only when they grow.
 package dioph
 
 import (
@@ -80,13 +80,6 @@ func NewSolver() *Solver {
 	return &Solver{roots: make(map[sqrtKey]wordRoot, 16)}
 }
 
-// SolveNormEquation returns t with t·t† = ξ, or ok=false if ξ is not
-// expressible (or the factoring budget was exceeded). One-shot wrapper
-// over Solver for callers without a search loop.
-func SolveNormEquation(xi ring.BSqrt2) (ring.BOmega, bool) {
-	return NewSolver().Solve(xi)
-}
-
 // mod8 returns p mod 8 without allocating (p > 0).
 func mod8(p *big.Int) int64 {
 	return int64(p.Bit(0)) | int64(p.Bit(1))<<1 | int64(p.Bit(2))<<2
@@ -115,20 +108,25 @@ func preFilter64(v int64) bool {
 }
 
 // Solve returns t with t·t† = ξ, or ok=false if ξ is not expressible (or
-// the factoring budget was exceeded). The result is freshly allocated and
-// owned by the caller. ξ whose coefficients and norm fit the word path
-// (word.go) is solved in machine words, and any other in big.Int; both
-// return the same answer.
-func (sv *Solver) Solve(xi ring.BSqrt2) (ring.BOmega, bool) {
+// the factoring budget was exceeded). ξ whose coefficients and norm fit
+// the word path (word.go) is solved in machine words, and any other in
+// big.Int; both return the same answer. The big path's t always fits
+// int64: the sum of its squared coefficients is ξ's rational part, which
+// is below 2^63.
+func (sv *Solver) Solve(xi ring.ZSqrt2) (ring.ZOmega, bool) {
 	if fastPath {
 		switch t, out := sv.solveWord(xi); out {
 		case solved:
-			return ring.BOmegaFromZOmega(t), true
+			return t, true
 		case noSolution:
-			return ring.BOmega{}, false
+			return ring.ZOmega{}, false
 		}
 	}
-	return sv.solveBig(xi)
+	t, ok := sv.solveBig(ring.BSqrt2FromZSqrt2(xi))
+	if !ok {
+		return ring.ZOmega{}, false
+	}
+	return t.ToZOmega()
 }
 
 // solveBig is Solve in big.Int arithmetic on values: the reference the

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -63,10 +64,10 @@ var goldenEdgeCases = [][2]int64{
 // below 2^31 at ε ≥ 1e-10: its two embeddings differ by about 2^k. So t
 // is drawn as a short element s times λ^{±m}, which keeps N(t·t†) =
 // N(s·s†) small while the coefficients grow.
-func goldenXis() []ring.BSqrt2 {
-	var out []ring.BSqrt2
+func goldenXis() []ring.ZSqrt2 {
+	var out []ring.ZSqrt2
 	for _, e := range goldenEdgeCases {
-		out = append(out, ring.NewBSqrt2(e[0], e[1]))
+		out = append(out, ring.ZSqrt2{A: e[0], B: e[1]})
 	}
 	rng := rand.New(rand.NewSource(11))
 	lambda := ring.Lambda.ToZOmega()
@@ -96,14 +97,13 @@ func goldenXis() []ring.BSqrt2 {
 		}
 	}
 	for i := 0; i < 300; i++ {
-		out = append(out, ring.BSqrt2FromZSqrt2(skewed().Norm2()))
+		out = append(out, skewed().Norm2())
 	}
 	// Unsolvable: an odd valuation at a prime over p ≡ 7 (mod 8), a
 	// totally positive factor of norm 7, 23, 431 or 16447.
 	odd := []ring.ZSqrt2{{A: 3, B: 1}, {A: 5, B: 1}, {A: 23, B: 7}, {A: 153, B: 59}}
 	for i := 0; i < 120; i++ {
-		xi := skewed().Norm2().Mul(odd[i%len(odd)])
-		out = append(out, ring.BSqrt2FromZSqrt2(xi))
+		out = append(out, skewed().Norm2().Mul(odd[i%len(odd)]))
 	}
 	// ξ = t·t† nudged off the norm form, kept non-negative in both
 	// embeddings where a float check says so: solvable or not.
@@ -113,14 +113,20 @@ func goldenXis() []ring.BSqrt2 {
 		if xi.Float() < 0 || xi.Bullet().Float() < 0 {
 			xi.B = 0
 		}
-		out = append(out, ring.BSqrt2FromZSqrt2(xi))
+		out = append(out, xi)
 	}
 	// Balanced t: N(t·t†) near 2^40, far above gridsynth's norms.
 	for i := 0; i < 20; i++ {
 		t := ring.ZOmega{A: rng.Int63n(1 << 9), B: rng.Int63n(1 << 9), C: rng.Int63n(1 << 9), D: rng.Int63n(1 << 9)}
-		out = append(out, ring.BSqrt2FromZSqrt2(t.Norm2()))
+		out = append(out, t.Norm2())
 	}
 	return out
+}
+
+// belowNormLimit reports whether |N(ξ)| < 2^31, the norms gridsynth's ξ
+// reach and the word path's bound.
+func belowNormLimit(xi ring.ZSqrt2) bool {
+	return new(big.Int).Abs(ring.BSqrt2FromZSqrt2(xi).NormZ()).Cmp(big.NewInt(wordNormLimit)) < 0
 }
 
 // below reports whether every coefficient of z has magnitude below lim.
@@ -148,7 +154,7 @@ func TestSolveGolden(t *testing.T) {
 			continue
 		}
 		solved++
-		if !got.Norm2().Equal(xi) {
+		if !verifies(got, xi) {
 			t.Fatalf("ξ = %v: t = %v does not verify (t·t† = %v)", xi, got, got.Norm2())
 		}
 		fmt.Fprintf(h, "%v %v: %v %v %v %v\n", xi.A, xi.B, got.A, got.B, got.C, got.D)

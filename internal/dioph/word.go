@@ -70,34 +70,6 @@ func normS(x ring.ZSqrt2) wide {
 	return mul(x.A, x.A).sub(bb).sub(bb)
 }
 
-// signS returns the sign of the real embedding a + b√2, decided exactly
-// as ring.BSqrt2.Sign decides it.
-func signS(x ring.ZSqrt2) int {
-	switch {
-	case x.A == 0 && x.B == 0:
-		return 0
-	case x.A >= 0 && x.B >= 0:
-		return 1
-	case x.A <= 0 && x.B <= 0:
-		return -1
-	}
-	bb := mul(x.B, x.B)
-	switch mul(x.A, x.A).cmp(bb.add(bb)) {
-	case 1:
-		return sign64(x.A)
-	case -1:
-		return sign64(x.B)
-	}
-	return 0
-}
-
-func sign64(a int64) int {
-	if a < 0 {
-		return -1
-	}
-	return 1
-}
-
 // mulOWide returns v·w with unnarrowed coefficients.
 func mulOWide(v, w ring.ZOmega) [4]wide {
 	return [4]wide{
@@ -219,7 +191,7 @@ func gcdO(a, b ring.ZOmega) (ring.ZOmega, bool) {
 // some λ^j, and one whose coefficients lie below wordLimit is in
 // lambdaPows, so the table answers wherever the big path's logarithm does.
 func unitExponentWord(q ring.ZSqrt2) (int, bool) {
-	if signS(q) <= 0 {
+	if q.Sign() <= 0 {
 		return 0, false
 	}
 	if n := normS(q).abs(); n.cmp(wideOf(1)) != 0 {
@@ -244,18 +216,14 @@ func unitExponentWord(q ring.ZSqrt2) (int, bool) {
 // solveWord runs Solve on words. It hands off (to the big path, from the
 // start) when ξ's coefficients reach wordLimit or |N(ξ)| reaches
 // wordNormLimit, and whenever a later value would leave the word range.
-func (sv *Solver) solveWord(xi ring.BSqrt2) (ring.ZOmega, outcome) {
-	if !xi.A.IsInt64() || !xi.B.IsInt64() {
-		return ring.ZOmega{}, handOff
-	}
-	x := ring.ZSqrt2{A: xi.A.Int64(), B: xi.B.Int64()}
+func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 	if !inWord(x.A) || !inWord(x.B) || normS(x).abs().cmp(wideOf(wordNormLimit)) >= 0 {
 		return ring.ZOmega{}, handOff
 	}
 	if x.IsZero() {
 		return ring.ZOmega{}, solved
 	}
-	if signS(x) < 0 || signS(x.Bullet()) < 0 {
+	if x.Sign() < 0 || x.Bullet().Sign() < 0 {
 		return ring.ZOmega{}, noSolution
 	}
 	t, rem := ring.ZOmega{A: 1}, x

@@ -207,12 +207,11 @@ func TestSolveGoldenPaths(t *testing.T) {
 	for _, xi := range goldenXis() {
 		tw, out := word.solveWord(xi)
 		counts[out]++
-		above := new(big.Int).Abs(xi.NormZ()).Cmp(big.NewInt(wordNormLimit)) >= 0
-		if above != (out == handOff) {
+		if above := !belowNormLimit(xi); above != (out == handOff) {
 			t.Fatalf("ξ = %v (|N| ≥ 2^31: %v): word path outcome %d", xi, above, out)
 		}
 		if out != handOff {
-			tb, ok := ref.solveBig(xi)
+			tb, ok := ref.solveBig(ring.BSqrt2FromZSqrt2(xi))
 			sameAnswer(t, xi, tw, out, tb, ok)
 		}
 	}
@@ -222,7 +221,7 @@ func TestSolveGoldenPaths(t *testing.T) {
 
 // sameAnswer fails unless the word path's answer (tw, out) is the big
 // path's (tb, ok), and any t returned verifies.
-func sameAnswer(t *testing.T, xi ring.BSqrt2, tw ring.ZOmega, out outcome, tb ring.BOmega, ok bool) {
+func sameAnswer(t *testing.T, xi ring.ZSqrt2, tw ring.ZOmega, out outcome, tb ring.BOmega, ok bool) {
 	t.Helper()
 	if (out == solved) != ok {
 		t.Fatalf("ξ = %v: word path outcome %d, big path ok=%v (t = %v)", xi, out, ok, tb)
@@ -233,7 +232,7 @@ func sameAnswer(t *testing.T, xi ring.BSqrt2, tw ring.ZOmega, out outcome, tb ri
 	if got := ring.BOmegaFromZOmega(tw); !got.Equal(tb) {
 		t.Fatalf("ξ = %v: word path t = %v, big path t = %v", xi, got, tb)
 	}
-	if !tb.Norm2().Equal(xi) {
+	if !tb.Norm2().Equal(ring.BSqrt2FromZSqrt2(xi)) {
 		t.Fatalf("ξ = %v: t = %v does not verify", xi, tb)
 	}
 }
@@ -242,13 +241,12 @@ func sameAnswer(t *testing.T, xi ring.BSqrt2, tw ring.ZOmega, out outcome, tb ri
 // past wordNormLimit, coefficients at wordLimit, and ξ = 32·λ^−40, whose
 // coefficients (56 bits) and norm (2^10) are in range but whose leftover
 // unit λ^−50 is not.
-func handOffCases() []ring.BSqrt2 {
-	return []ring.BSqrt2{
-		ring.NewBSqrt2(50339, 13902),                          // N = 2147483713 > 2^31, a prime ≡ 1
-		ring.NewBSqrt2(46349, 0),                              // N = 46349² > 2^31, a prime ≡ 5
-		ring.PowLambda(50),                                    // λ^50: coefficients past 2^62
-		ring.PowLambda(50).Mul(ring.NewBSqrt2(5, 0)),          // past int64
-		ring.NewBSqrt2(32745181062039584, -23154339580149504), // 32·λ^−40
+func handOffCases() []ring.ZSqrt2 {
+	return []ring.ZSqrt2{
+		{A: 50339, B: 13902},                          // N = 2147483713 > 2^31, a prime ≡ 1
+		{A: 46349},                                    // N = 46349² > 2^31, a prime ≡ 5
+		lambdaPows[49].Mul(ring.Lambda),               // λ^50: coefficients past 2^62, within int64
+		{A: 32745181062039584, B: -23154339580149504}, // 32·λ^−40
 	}
 }
 
@@ -262,8 +260,8 @@ func TestSolveAboveBound(t *testing.T) {
 			t.Fatalf("ξ = %v: word path outcome %d, want a hand-off", xi, out)
 		}
 		got, ok := sv.Solve(xi)
-		want, okWant := NewSolver().solveBig(xi)
-		if ok != okWant || ok && !got.Equal(want) {
+		want, okWant := NewSolver().solveBig(ring.BSqrt2FromZSqrt2(xi))
+		if ok != okWant || ok && !ring.BOmegaFromZOmega(got).Equal(want) {
 			t.Fatalf("ξ = %v: Solve = %v, %v; big path %v, %v", xi, got, ok, want, okWant)
 		}
 		if !ok {
@@ -285,25 +283,22 @@ func FuzzSolve(f *testing.F) {
 		f.Add(e[0], e[1])
 	}
 	for _, xi := range handOffCases() {
-		if xi.A.IsInt64() && xi.B.IsInt64() {
-			f.Add(xi.A.Int64(), xi.B.Int64())
-		}
+		f.Add(xi.A, xi.B)
 	}
 	l49 := lambdaPows[49] // the largest power of λ in range
 	f.Add(l49.A, l49.B)
 	f.Add(int64(46337), int64(0)) // N = 46337² < 2^31, a prime ≡ 1
 	f.Fuzz(func(t *testing.T, a, b int64) {
-		xi := ring.NewBSqrt2(a, b)
+		xi := ring.ZSqrt2{A: a, B: b}
 		tw, out := NewSolver().solveWord(xi)
-		inRange := a > -wordLimit && a < wordLimit && b > -wordLimit && b < wordLimit &&
-			new(big.Int).Abs(xi.NormZ()).Cmp(big.NewInt(wordNormLimit)) < 0
+		inRange := a > -wordLimit && a < wordLimit && b > -wordLimit && b < wordLimit && belowNormLimit(xi)
 		if !inRange && out != handOff {
 			t.Fatalf("ξ = %v is past the bounds but the word path answered (%d)", xi, out)
 		}
 		if out == handOff {
 			return
 		}
-		tb, ok := NewSolver().solveBig(xi)
+		tb, ok := NewSolver().solveBig(ring.BSqrt2FromZSqrt2(xi))
 		sameAnswer(t, xi, tw, out, tb, ok)
 	})
 }

@@ -11,6 +11,17 @@ import (
 	"repro/internal/ring"
 )
 
+// exactOf returns the exact product of seq, multiplied out in big.Int
+// (SequenceBU) and narrowed to int64.
+func exactOf(t testing.TB, seq gates.Sequence) ring.UMat {
+	t.Helper()
+	u, ok := SequenceBU(seq).ToUMat()
+	if !ok {
+		t.Fatalf("product of %v does not fit int64", seq)
+	}
+	return u
+}
+
 func randomWord(r *rand.Rand, n int) gates.Sequence {
 	alphabet := []gates.Gate{gates.X, gates.Y, gates.Z, gates.H, gates.S, gates.Sdg, gates.T, gates.Tdg}
 	s := make(gates.Sequence, n)
@@ -27,13 +38,12 @@ func TestSynthesizeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 150; trial++ {
 		w := randomWord(rng, 3+rng.Intn(40))
-		m := SequenceBU(w)
+		m := exactOf(t, w)
 		seq, err := Synthesize(m, tab)
 		if err != nil {
 			t.Fatalf("Synthesize failed on %v: %v", w, err)
 		}
-		got := SequenceBU(seq)
-		if !got.EqualUpToPhase(m) {
+		if !exactOf(t, seq).EqualUpToPhase(m) {
 			t.Fatalf("synthesis differs from target:\nword %v\nout  %v", w, seq)
 		}
 	}
@@ -46,7 +56,7 @@ func TestSynthesizeTCountBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 60; trial++ {
 		w := randomWord(rng, 10+rng.Intn(30))
-		m := SequenceBU(w)
+		m := exactOf(t, w)
 		seq, err := Synthesize(m, tab)
 		if err != nil {
 			t.Fatal(err)
@@ -67,14 +77,14 @@ func TestFromColumnsUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	found := 0
 	for trial := 0; trial < 4000 && found < 20; trial++ {
-		u := ring.NewBOmega(rng.Int63n(5)-2, rng.Int63n(5)-2, rng.Int63n(5)-2, rng.Int63n(5)-2)
-		tt := ring.NewBOmega(rng.Int63n(5)-2, rng.Int63n(5)-2, rng.Int63n(5)-2, rng.Int63n(5)-2)
+		u := ring.ZOmega{A: rng.Int63n(5) - 2, B: rng.Int63n(5) - 2, C: rng.Int63n(5) - 2, D: rng.Int63n(5) - 2}
+		tt := ring.ZOmega{A: rng.Int63n(5) - 2, B: rng.Int63n(5) - 2, C: rng.Int63n(5) - 2, D: rng.Int63n(5) - 2}
 		sum := u.Norm2().Add(tt.Norm2())
-		if sum.B.Sign() != 0 || sum.A.Sign() <= 0 {
+		if sum.B != 0 || sum.A <= 0 {
 			continue
 		}
 		// Is sum.A a power of two?
-		a := sum.A.Int64()
+		a := sum.A
 		k := 0
 		for a > 1 && a%2 == 0 {
 			a /= 2
@@ -85,7 +95,7 @@ func TestFromColumnsUnitary(t *testing.T) {
 		}
 		for g := 0; g < 2; g++ {
 			m := FromColumns(u, tt, k, g)
-			if !isUnitary(m) {
+			if m.Mul(m.Dagger()) != ring.UIdentity() {
 				t.Fatalf("FromColumns not unitary: u=%v t=%v k=%d g=%d", u, tt, k, g)
 			}
 			found++
@@ -93,7 +103,7 @@ func TestFromColumnsUnitary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Synthesize failed on gridsynth form: %v", err)
 			}
-			if !SequenceBU(seq).EqualUpToPhase(m) {
+			if !exactOf(t, seq).EqualUpToPhase(m) {
 				t.Fatal("gridsynth form round trip failed")
 			}
 		}
@@ -105,8 +115,8 @@ func TestFromColumnsUnitary(t *testing.T) {
 
 // TestSynthesizeRejectsNonUnitary.
 func TestSynthesizeRejectsNonUnitary(t *testing.T) {
-	bad := NewBUMat(ring.BOmegaFromInt(1), ring.BOmegaFromInt(1),
-		ring.BOmegaFromInt(0), ring.BOmegaFromInt(1), 0)
+	one := ring.ZOmegaFromInt(1)
+	bad := ring.UMat{E: [2][2]ring.ZOmega{{one, one}, {{}, one}}}
 	if _, err := Synthesize(bad, gates.Shared(4)); err == nil {
 		t.Error("expected error for non-unitary input")
 	}
@@ -117,7 +127,7 @@ func TestSynthesizeRejectsNonUnitary(t *testing.T) {
 func TestSynthesizeCliffords(t *testing.T) {
 	tab := gates.Shared(4)
 	for _, c := range gates.CliffordGroup() {
-		m := SequenceBU(c.Seq)
+		m := exactOf(t, c.Seq)
 		seq, err := Synthesize(m, tab)
 		if err != nil {
 			t.Fatalf("Clifford synthesis failed: %v", err)
@@ -125,7 +135,7 @@ func TestSynthesizeCliffords(t *testing.T) {
 		if seq.TCount() != 0 {
 			t.Fatalf("Clifford %v synthesized with %d T gates", c.Seq, seq.TCount())
 		}
-		if !SequenceBU(seq).EqualUpToPhase(m) {
+		if !exactOf(t, seq).EqualUpToPhase(m) {
 			t.Fatal("Clifford round trip failed")
 		}
 	}
@@ -136,8 +146,7 @@ func TestNumericAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		w := randomWord(rng, 20)
-		m := SequenceBU(w)
-		seq, err := Synthesize(m, gates.Shared(5))
+		seq, err := Synthesize(exactOf(t, w), gates.Shared(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,13 +187,13 @@ func maxCoeffBits(m BUMat) int {
 }
 
 // TestSynthesizeCoefficientBands synthesizes H·T^±1 words of 20 to 320
-// pairs, whose exact products fill each coefficient band the int64 path
-// treats differently: below 2^29 (unitarity checked in int64), below 2^58
-// (reducer products in int64), below 2^63 (the matrix fits int64, reducer
-// products do not) and beyond int64. For every word the fast path must
-// emit the reference path's gates, the output must multiply back to the
-// input, and the input with one coefficient moved must be refused as not
-// unitary on both paths.
+// pairs, whose exact products fill three coefficient bands: below
+// 2^CoeffBits, from there to 2^63, and beyond int64. For every word the
+// big.Int reference loop's output must multiply back to the input. Below
+// 2^CoeffBits, Synthesize must emit the reference's gates, and the input
+// with one coefficient moved must be refused as not unitary on both
+// loops; from 2^CoeffBits to 2^63 Synthesize must refuse the input with
+// ErrCoeffBound.
 func TestSynthesizeCoefficientBands(t *testing.T) {
 	tab := gates.Shared(5)
 	rng := rand.New(rand.NewSource(6))
@@ -193,14 +202,9 @@ func TestSynthesizeCoefficientBands(t *testing.T) {
 		maxBits int // largest coefficient bit length in the band
 		words   int
 	}{
-		{"below 2^29", 29, 0},
-		{"2^29 to 2^58", 58, 0},
-		{"2^58 to 2^63", 63, 0},
+		{"below 2^29", CoeffBits, 0},
+		{"2^29 to 2^63", 63, 0},
 		{"beyond int64", 1 << 30, 0},
-	}
-	synth := func(m BUMat, fast bool) (gates.Sequence, error) {
-		defer SetFastPath(SetFastPath(fast))
-		return Synthesize(m, tab)
 	}
 	const words = 60
 	for i := 0; i < words; i++ {
@@ -213,29 +217,39 @@ func TestSynthesizeCoefficientBands(t *testing.T) {
 		}
 		bands[b].words++
 
-		got, err := synth(m, true)
+		want, err := refSynthesize(m, tab)
 		if err != nil {
-			t.Fatalf("%d pairs (K=%d, %d-bit coefficients): %v", pairs, m.K, bits, err)
+			t.Fatalf("%d pairs (K=%d, %d-bit coefficients), reference loop: %v", pairs, m.K, bits, err)
 		}
-		want, err := synth(m, false)
-		if err != nil {
-			t.Fatalf("%d pairs, reference path: %v", pairs, err)
+		if !SequenceBU(want).EqualUpToPhase(m) {
+			t.Fatalf("%d pairs (K=%d): reference output does not multiply back to the input", pairs, m.K)
 		}
-		if got.String() != want.String() {
-			t.Fatalf("%d pairs (K=%d, %d-bit coefficients): fast path %v, reference %v",
-				pairs, m.K, bits, got, want)
-		}
-		if !SequenceBU(got).EqualUpToPhase(m) {
-			t.Fatalf("%d pairs (K=%d): output does not multiply back to the input", pairs, m.K)
-		}
-
-		// Row 0 of a unitary has |e00|² + |e01|² = 2^K; adding 1 to e00
-		// adds 2·Re(e00) + 1 ≠ 0, so the moved matrix is never unitary.
-		bad := NewBUMat(m.E[0][0].Add(ring.BOmegaFromInt(1)), m.E[0][1], m.E[1][0], m.E[1][1], m.K)
-		for _, fast := range []bool{true, false} {
-			if _, err := synth(bad, fast); !errors.Is(err, ErrNotUnitary) {
-				t.Fatalf("%d pairs, moved coefficient, fast path %v: got %v, want ErrNotUnitary",
-					pairs, fast, err)
+		u, fits := m.ToUMat()
+		switch b {
+		case 0:
+			got, err := Synthesize(u, tab)
+			if err != nil {
+				t.Fatalf("%d pairs (K=%d, %d-bit coefficients): %v", pairs, m.K, bits, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%d pairs (K=%d, %d-bit coefficients): int64 loop %v, reference %v",
+					pairs, m.K, bits, got, want)
+			}
+			// Row 0 of a unitary has |e00|² + |e01|² = 2^K; adding 1 to
+			// e00 adds 2·Re(e00) + 1 ≠ 0, so the moved matrix is never
+			// unitary.
+			bad, badU := m, u
+			bad.E[0][0] = m.E[0][0].Add(ring.BOmegaFromInt(1))
+			badU.E[0][0].A++
+			if _, err := Synthesize(badU, tab); !errors.Is(err, ErrNotUnitary) {
+				t.Fatalf("%d pairs, moved coefficient: got %v, want ErrNotUnitary", pairs, err)
+			}
+			if _, err := refSynthesize(bad, tab); !errors.Is(err, ErrNotUnitary) {
+				t.Fatalf("%d pairs, moved coefficient, reference loop: got %v, want ErrNotUnitary", pairs, err)
+			}
+		case 1:
+			if _, err := Synthesize(u, tab); !fits || !errors.Is(err, ErrCoeffBound) {
+				t.Fatalf("%d pairs (%d-bit coefficients): got %v, want ErrCoeffBound", pairs, bits, err)
 			}
 		}
 	}
@@ -250,9 +264,9 @@ func TestSynthesizeCoefficientBands(t *testing.T) {
 func BenchmarkSynthesize(b *testing.B) {
 	tab := gates.Shared(5)
 	rng := rand.New(rand.NewSource(5))
-	words := make([]BUMat, 16)
+	words := make([]ring.UMat, 16)
 	for i := range words {
-		words[i] = SequenceBU(randomWord(rng, 40))
+		words[i] = exactOf(b, randomWord(rng, 40))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

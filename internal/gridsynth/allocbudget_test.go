@@ -38,7 +38,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 			i++
 		}
-		op() // warm-up: shared table build, big.Int capacity growth
+		op() // warm-up: shared table build
 		got := testing.AllocsPerRun(20, op)
 		t.Logf("eps=%s: %.0f allocs/op (budget %.0f)", name, got, budget)
 		if got > budget {

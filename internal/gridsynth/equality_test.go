@@ -6,28 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/dioph"
-	"repro/internal/exact"
 	"repro/internal/ring"
 )
 
-// Seed-equality property: the optimized hot path (exact synthesis's int64
-// peel loop, the norm equation's word path with its residue pre-filter)
-// must produce bit-identical gate sequences to the arbitrary-precision
-// reference path — same gates in the same order, same T count, same
-// denominator exponent k — for fixed seeds across the benchmark ε ladder.
-// This is the acceptance gate that lets the perf work claim "no output
-// change".
+// Seed-equality property: the optimized hot path (the norm equation's
+// word path with its residue pre-filter) must produce bit-identical gate
+// sequences to the arbitrary-precision reference path — same gates in the
+// same order, same T count, same denominator exponent k — for fixed seeds
+// across the benchmark ε ladder. This is the acceptance gate that lets
+// the perf work claim "no output change".
 
-// withReferencePaths runs f with every fast path disabled, restoring the
-// production configuration afterwards.
+// withReferencePaths runs f with the norm equation's word path disabled,
+// restoring the production configuration afterwards.
 func withReferencePaths(t *testing.T, f func()) {
 	t.Helper()
-	prevFast := exact.SetFastPath(false)
-	prevWord := dioph.SetFastPath(false)
-	defer func() {
-		exact.SetFastPath(prevFast)
-		dioph.SetFastPath(prevWord)
-	}()
+	defer dioph.SetFastPath(dioph.SetFastPath(false))
 	f()
 }
 
@@ -103,30 +96,55 @@ func TestSeedEquality1e6(t *testing.T) { runEquality(t, 1e-6, equalityAngles(13,
 // the word path, so Solve with the word path on must agree with the
 // unfiltered big.Int reference on every ξ. (Acceptance by the filter
 // decides nothing — the solver still runs — so agreement is exactly the
-// soundness claim.) Two input families: random small ξ, and crafted ξ
+// soundness claim.) Two input families: random small ξ, every one with a
+// norm below the word path's 2^31 so it reaches the filter, and crafted ξ
 // with odd valuation v_p(N(ξ)) at EVERY small prime p ≡ 7 (mod 8) the
 // filter tests (the documented reject condition).
 func TestPreFilterNeverLies(t *testing.T) {
 	defer dioph.SetFastPath(dioph.SetFastPath(true))
-	check := func(xi ring.BSqrt2) {
+	primes := []int64{7, 23, 31, 47, 71, 79, 103, 127, 151, 167,
+		191, 199, 223, 239, 263, 271, 311, 359, 367, 383}
+	// oddAt reports whether n has an odd valuation at some listed prime:
+	// the filter's reject condition.
+	oddAt := func(n int64) bool {
+		for _, p := range primes {
+			e := 0
+			for ; n != 0 && n%p == 0; n /= p {
+				e++
+			}
+			if e&1 == 1 {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(xi ring.ZSqrt2) {
 		t.Helper()
 		dioph.SetFastPath(true)
-		_, okFiltered := dioph.SolveNormEquation(xi)
+		_, okFiltered := dioph.NewSolver().Solve(xi)
 		dioph.SetFastPath(false)
-		_, okFull := dioph.SolveNormEquation(xi)
+		_, okFull := dioph.NewSolver().Solve(xi)
 		if okFiltered != okFull {
 			t.Fatalf("ξ=%v: filtered=%v full=%v", xi, okFiltered, okFull)
 		}
 	}
 	rng := rand.New(rand.NewSource(99))
+	rejected := 0
 	for i := 0; i < 100; i++ {
-		check(ring.NewBSqrt2(rng.Int63n(1<<20), rng.Int63n(1<<10)))
+		xi := ring.ZSqrt2{A: rng.Int63n(1 << 15), B: rng.Int63n(1 << 10)}
+		n := xi.NormZ()
+		if n <= -1<<31 || n >= 1<<31 {
+			t.Fatalf("ξ=%v: |N(ξ)| = %d is not below 2^31, so ξ skips the filter", xi, n)
+		}
+		if xi.Sign() >= 0 && xi.Bullet().Sign() >= 0 && oddAt(n) {
+			rejected++
+		}
+		check(xi)
 	}
+	t.Logf("the filter rejects %d of 100 random ξ", rejected)
 	// Crafted odd-valuation inputs for each prefilter prime p: search small
 	// totally positive a+b√2 with v_p(a²−2b²) odd (2 is a QR mod p for
 	// p ≡ ±1 (mod 8), so solutions are dense).
-	primes := []int64{7, 23, 31, 47, 71, 79, 103, 127, 151, 167,
-		191, 199, 223, 239, 263, 271, 311, 359, 367, 383}
 	for _, p := range primes {
 		found := false
 	search:
@@ -139,7 +157,7 @@ func TestPreFilterNeverLies(t *testing.T) {
 				if e&1 == 0 {
 					continue
 				}
-				check(ring.NewBSqrt2(a, b))
+				check(ring.ZSqrt2{A: a, B: b})
 				found = true
 				break search
 			}

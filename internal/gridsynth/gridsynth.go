@@ -40,8 +40,13 @@ type Options struct {
 
 // Result is a synthesized Rz approximation.
 type Result struct {
-	Seq      gates.Sequence // product equals Rz(θ) up to global phase, within Error
-	Error    float64        // unitary distance Eq. (2)
+	Seq gates.Sequence // product equals Rz(θ) up to global phase, within Error
+	// Error is the unitary distance Eq. (2) of Seq from the target,
+	// computed in float64 by qmat.Distance, which has no value between 0
+	// and 2^-26 ≈ 1.5e-8. So for eps near or below 1e-7 it cannot show
+	// how far inside eps an answer lies, and Rz's acceptance bound
+	// eps·(1+1e-6) + 1e-7 lets through answers whose Error exceeds eps.
+	Error    float64
 	TCount   int
 	Clifford int // non-Pauli Clifford gates
 	K        int // denominator exponent of the solution
@@ -60,16 +65,25 @@ var ErrCanceled = errors.New("gridsynth: canceled")
 // 1.0–2.6 on average. The bound is a backstop no search is known to reach.
 const candidatesPerK = 4096
 
-// maxK caps the denominator exponent (k = 120 reaches ε ~ 1e-18).
-const maxK = 120
+// maxK is the largest k at which every value of the search meets exact
+// synthesis's coefficient bound. An admitted u has ξ ≥ 0 and ξ• ≥ 0, and
+// ξ + ξ• = 2·(2^k − Σ u's coefficients²), so that sum is at most 2^k;
+// t·t† = ξ makes the sum of t's squared coefficients ξ's rational part,
+// also at most 2^k. So every coefficient of u, t and V is at most
+// 2^(k/2), below 2^exact.CoeffBits for k ≤ 57. No search comes near it
+// (TestMaxKNeverBinds).
+const maxK = 2*exact.CoeffBits - 1
 
-// Rz synthesizes Rz(theta) to unitary distance ≤ eps.
+// Rz synthesizes Rz(theta) to unitary distance ≤ eps. It accepts answers
+// up to eps·(1+1e-6) + 1e-7, judged by Result.Error, a float64 distance
+// with no value between 0 and about 1.5e-8.
 //
-// The hot-path state — candidate geometry per phase grid, the Diophantine
-// solver with its word path's square-root memo, and the in-place ring
-// temporaries that form ξ — is created once here and reused across every
-// (k, candidate) pair, so the search allocates only when it finds a
-// solution (plus unavoidable math/big growth).
+// The hot-path state — candidate geometry per phase grid and the
+// Diophantine solver with its word path's square-root memo — is created
+// once here and reused across every (k, candidate) pair, so past that
+// setup the search allocates only when the memo grows or it finds a
+// solution. Every value from the scanned candidate to the gate sequence
+// is an int64 ring element.
 //
 // Candidates stream lazily out of grid.Sliver.Scan, which enumerates the
 // region whose points realize a distance within the acceptance bound,
@@ -90,16 +104,8 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("gridsynth: theta %v is not finite", theta)
 	}
 	target := qmat.Rz(theta)
-	pow2k := ring.NewBSqrt2(1, 0)
-	two := ring.NewBSqrt2(2, 0)
-	// Per-search reusable state.
-	var (
-		scr        ring.Scratch
-		u          ring.BOmega
-		n2, xi, xb ring.BSqrt2
-		solver     = dioph.NewSolver()
-		table      = gates.Shared(4) // exact synthesis's residual lookup
-	)
+	solver := dioph.NewSolver() // reused across the search
+	table := gates.Shared(4)    // exact synthesis's residual lookup
 	// The final acceptance bound, shared by the PreError admission below
 	// (with a hair of extra slack so borderline candidates reach the
 	// authoritative post-synthesis check rather than being screened out).
@@ -130,17 +136,20 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 			)
 			sl := slivers[g]
 			sl.Scan(k, func(cand grid.Candidate) bool {
-				u.SetZOmega(cand.U)
-				u.Norm2To(&n2, &scr)
-				xi.SubTo(pow2k, n2)
-				xb.BulletTo(xi)
-				if xi.Sign() < 0 || xb.Sign() < 0 || sl.PreError(cand.U, k) > admit {
+				// Norm2 cannot overflow: the scan keeps u inside both disks
+				// of radius √2^k to within a relative margin of about
+				// 2^-46, so Σ u's coefficients² = (|u|² + |u•|²)/2 stays
+				// below 2^58. Soundness does not rest on it: exact
+				// synthesis checks V's unitarity, and the distance is
+				// checked below.
+				xi := ring.ZSqrt2{A: 1 << k}.Sub(cand.U.Norm2())
+				if xi.Sign() < 0 || xi.Bullet().Sign() < 0 || sl.PreError(cand.U, k) > admit {
 					return true // keep scanning; no budget spent
 				}
 				admitted++
 				t, ok := solver.Solve(xi)
 				if ok {
-					v := exact.FromColumns(u, t, k, g)
+					v := exact.FromColumns(cand.U, t, k, g)
 					if seq, err := exact.Synthesize(v, table); err == nil {
 						if d := qmat.Distance(target, seq.Matrix()); d <= bound {
 							res = Result{
@@ -167,7 +176,6 @@ func Rz(theta, eps float64, opt Options) (Result, error) {
 		}
 		ks.SetAttr("admitted", kAdmitted)
 		ks.End()
-		pow2k.MulTo(pow2k, two, &scr)
 	}
 	return Result{}, ErrNoSolution
 }

@@ -171,3 +171,31 @@ func TestAdmitsOnlyDoublyNonNegative(t *testing.T) {
 		t.Fatal("no scanned candidate with ξ not doubly non-negative passed PreError")
 	}
 }
+
+// TestMaxKNeverBinds: searches over the ε ladder down to 1e-15 solve at
+// K ≤ 45, well under maxK, the largest exponent at which every value of a
+// search fits exact synthesis's int64 bound. It fails if a change pushes
+// searches toward that limit, where maxK would start to cut them off.
+func TestMaxKNeverBinds(t *testing.T) {
+	const limit = 45
+	rng := rand.New(rand.NewSource(30))
+	n := 40
+	if raceEnabled {
+		n = 5
+	}
+	for _, eps := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-15} {
+		worst := 0
+		for i := 0; i < n; i++ {
+			theta := rng.Float64()*4*math.Pi - 2*math.Pi
+			res, err := Rz(theta, eps, Options{})
+			if err != nil {
+				t.Fatalf("Rz(%v, %v): %v", theta, eps, err)
+			}
+			if res.K > limit {
+				t.Fatalf("Rz(%v, %v) solved at K = %d, past %d (maxK %d)", theta, eps, res.K, limit, maxK)
+			}
+			worst = max(worst, res.K)
+		}
+		t.Logf("ε = %g: largest K %d over %d angles", eps, worst, n)
+	}
+}

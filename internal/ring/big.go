@@ -6,9 +6,8 @@ import (
 )
 
 // BSqrt2 is an element a + b√2 of Z[√2] with arbitrary-precision
-// coefficients. The value methods below never modify their operands and
-// return fresh big.Ints; gridsynth's candidate loop uses the in-place
-// forms in inplace.go.
+// coefficients. The methods below never modify their operands and return
+// fresh big.Ints.
 type BSqrt2 struct {
 	A, B *big.Int
 }
@@ -21,41 +20,24 @@ func NewBSqrt2(a, b int64) BSqrt2 {
 // BSqrt2FromZSqrt2 lifts an int64-coefficient element.
 func BSqrt2FromZSqrt2(x ZSqrt2) BSqrt2 { return NewBSqrt2(x.A, x.B) }
 
-// Clone returns a deep copy.
-func (x BSqrt2) Clone() BSqrt2 {
-	return BSqrt2{new(big.Int).Set(x.A), new(big.Int).Set(x.B)}
-}
-
-// Add returns x + y.
-func (x BSqrt2) Add(y BSqrt2) BSqrt2 {
-	return BSqrt2{new(big.Int).Add(x.A, y.A), new(big.Int).Add(x.B, y.B)}
-}
-
 // Sub returns x − y.
 func (x BSqrt2) Sub(y BSqrt2) BSqrt2 {
-	var z BSqrt2
-	z.SubTo(x, y)
-	return z
+	return BSqrt2{new(big.Int).Sub(x.A, y.A), new(big.Int).Sub(x.B, y.B)}
 }
 
-// Neg returns −x.
-func (x BSqrt2) Neg() BSqrt2 {
-	return BSqrt2{new(big.Int).Neg(x.A), new(big.Int).Neg(x.B)}
-}
-
-// Mul returns x·y.
+// Mul returns x·y = (ac + 2bd) + (ad + bc)√2.
 func (x BSqrt2) Mul(y BSqrt2) BSqrt2 {
-	var z BSqrt2
-	var s Scratch
-	z.MulTo(x, y, &s)
-	return z
+	t := new(big.Int)
+	a := new(big.Int).Mul(x.A, y.A)
+	a.Add(a, t.Lsh(t.Mul(x.B, y.B), 1))
+	b := new(big.Int).Mul(x.A, y.B)
+	b.Add(b, t.Mul(x.B, y.A))
+	return BSqrt2{a, b}
 }
 
 // Bullet returns the conjugate a − b√2.
 func (x BSqrt2) Bullet() BSqrt2 {
-	var z BSqrt2
-	z.BulletTo(x)
-	return z
+	return BSqrt2{new(big.Int).Set(x.A), new(big.Int).Neg(x.B)}
 }
 
 // NormZ returns x·x• = a² − 2b² as a big integer.
@@ -218,12 +200,6 @@ func (z BOmega) Sub(w BOmega) BOmega {
 		new(big.Int).Sub(z.C, w.C), new(big.Int).Sub(z.D, w.D)}
 }
 
-// Neg returns −z.
-func (z BOmega) Neg() BOmega {
-	return BOmega{new(big.Int).Neg(z.A), new(big.Int).Neg(z.B),
-		new(big.Int).Neg(z.C), new(big.Int).Neg(z.D)}
-}
-
 // MulOmega returns ω·z: (a,b,c,d) ↦ (−d,a,b,c).
 func (z BOmega) MulOmega() BOmega {
 	return BOmega{new(big.Int).Neg(z.D), new(big.Int).Set(z.A),
@@ -268,18 +244,18 @@ func (z BOmega) Conj() BOmega {
 		new(big.Int).Neg(z.C), new(big.Int).Neg(z.B)}
 }
 
-// Bullet returns the √2-conjugate: (a,b,c,d) ↦ (a,−b,c,−d).
-func (z BOmega) Bullet() BOmega {
-	return BOmega{new(big.Int).Set(z.A), new(big.Int).Neg(z.B),
-		new(big.Int).Set(z.C), new(big.Int).Neg(z.D)}
-}
-
-// Norm2 returns z·z̄ = |z|² as an element of Z[√2].
+// Norm2 returns z·z̄ = |z|² = (a²+b²+c²+d²) + (ab + bc + cd − da)·√2.
 func (z BOmega) Norm2() BSqrt2 {
-	var n BSqrt2
-	var s Scratch
-	z.Norm2To(&n, &s)
-	return n
+	t := new(big.Int)
+	a := new(big.Int).Mul(z.A, z.A)
+	a.Add(a, t.Mul(z.B, z.B))
+	a.Add(a, t.Mul(z.C, z.C))
+	a.Add(a, t.Mul(z.D, z.D))
+	b := new(big.Int).Mul(z.A, z.B)
+	b.Add(b, t.Mul(z.B, z.C))
+	b.Add(b, t.Mul(z.C, z.D))
+	b.Sub(b, t.Mul(z.D, z.A))
+	return BSqrt2{a, b}
 }
 
 // NormZ returns the absolute rational norm N(z) = N_{Z[√2]/Z}(z·z̄) ≥ 0.
@@ -303,16 +279,6 @@ func (z BOmega) DivSqrt2() BOmega {
 	c := new(big.Int).Add(z.B, z.D)
 	d := new(big.Int).Sub(z.C, z.A)
 	return BOmega{a.Rsh(a, 1), b.Rsh(b, 1), c.Rsh(c, 1), d.Rsh(d, 1)}
-}
-
-// Complex returns the float64 embedding (valid while coefficients fit in
-// ~2^52; gridsynth at ε ≥ 1e-9 stays far below this).
-func (z BOmega) Complex() complex128 {
-	a, _ := new(big.Float).SetInt(z.A).Float64()
-	b, _ := new(big.Float).SetInt(z.B).Float64()
-	c, _ := new(big.Float).SetInt(z.C).Float64()
-	d, _ := new(big.Float).SetInt(z.D).Float64()
-	return complex(a+(b-d)/Sqrt2, c+(b+d)/Sqrt2)
 }
 
 // String renders z for debugging.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math"
 	"math/big"
 	"math/cmplx"
 	"math/rand"
@@ -313,65 +314,39 @@ func TestEuclideanDivAndGCD(t *testing.T) {
 	}
 }
 
-// TestInPlaceMatchesValue: the in-place forms gridsynth's candidate loop
-// calls give the value forms' results, into a receiver reused across
-// trials as the loop reuses its temporaries, and with the receiver
-// aliased to an operand, as in pow2k.MulTo(pow2k, two, &scr).
-func TestInPlaceMatchesValue(t *testing.T) {
+// TestZSqrt2SignMatchesBig: ZSqrt2.Sign decides the sign of a + b√2 as
+// BSqrt2.Sign does, on coefficients of every magnitude up to the int64
+// extremes and on a ≈ ∓b√2, where the embedding is within 1/(2|b|√2) of
+// zero.
+func TestZSqrt2SignMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	randS := func() BSqrt2 {
-		x := NewBSqrt2(rng.Int63()>>uint(rng.Intn(63)), rng.Int63()>>uint(rng.Intn(63)))
-		if rng.Intn(2) == 0 {
-			x.A.Neg(x.A)
-		}
-		if rng.Intn(2) == 0 {
-			x.B.Neg(x.B)
-		}
-		return x.Mul(x).Add(x) // coefficients past int64
-	}
-	check := func(name string, got, want BSqrt2) {
+	check := func(x ZSqrt2) {
 		t.Helper()
-		if !got.Equal(want) {
-			t.Fatalf("%s = %v, want %v", name, got, want)
+		if got, want := x.Sign(), BSqrt2FromZSqrt2(x).Sign(); got != want {
+			t.Fatalf("Sign(%v) = %d, want %d", x, got, want)
 		}
 	}
-	var scr Scratch
-	var x BSqrt2
-	var u BOmega
-	for i := 0; i < 500; i++ {
-		y, z := randS(), randS()
-		x.SubTo(y, z)
-		check("SubTo", x, y.Sub(z))
-		x.BulletTo(y)
-		check("BulletTo", x, y.Bullet())
-		x.MulTo(y, z, &scr)
-		check("MulTo", x, y.Mul(z))
-		w := randZOmega(rng, 1<<40)
-		u.SetZOmega(w)
-		if !u.Equal(BOmegaFromZOmega(w)) {
-			t.Fatalf("SetZOmega(%v) = %v", w, u)
+	word := func() int64 {
+		v := rng.Int63() >> uint(rng.Intn(63))
+		if rng.Intn(2) == 0 {
+			v = -v - int64(rng.Intn(2)) // reaches MinInt64
 		}
-		u.Norm2To(&x, &scr)
-		check("Norm2To", x, BOmegaFromZOmega(w).Norm2())
-
-		a := y.Clone()
-		a.SubTo(a, z)
-		check("SubTo(a, z)", a, y.Sub(z))
-		a = z.Clone()
-		a.SubTo(y, a)
-		check("SubTo(y, a)", a, y.Sub(z))
-		a = y.Clone()
-		a.BulletTo(a)
-		check("BulletTo(a)", a, y.Bullet())
-		a = y.Clone()
-		a.MulTo(a, z, &scr)
-		check("MulTo(a, z)", a, y.Mul(z))
-		a = z.Clone()
-		a.MulTo(y, a, &scr)
-		check("MulTo(y, a)", a, y.Mul(z))
-		a = y.Clone()
-		a.MulTo(a, a, &scr)
-		check("MulTo(a, a)", a, y.Mul(y))
+		return v
+	}
+	for i := 0; i < 20000; i++ {
+		check(ZSqrt2{word(), word()})
+		// Nearest a to ∓b√2, and its neighbours.
+		b := word() >> 2
+		a := int64(math.Round(float64(b) * Sqrt2))
+		for d := int64(-1); d <= 1; d++ {
+			check(ZSqrt2{a + d, -b})
+			check(ZSqrt2{-a - d, b})
+		}
+	}
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	for _, x := range []ZSqrt2{{0, 0}, {1, 0}, {0, -1}, {maxI, minI}, {minI, maxI},
+		{minI, minI}, {maxI, maxI}, {maxI, -1 << 62}, {-maxI, 1 << 62}, {3, -2}, {-3, 2}, {99, -70}, {-99, 70}} {
+		check(x)
 	}
 }
 

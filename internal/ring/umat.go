@@ -56,8 +56,8 @@ func UGateH() UMat {
 	return UMat{E: [2][2]ZOmega{{one, one}, {one, one.Neg()}}, K: 1}
 }
 
-// reduce divides out common √2 factors so K is minimal.
-func (m *UMat) reduce() {
+// Reduce divides out common √2 factors so K is minimal.
+func (m *UMat) Reduce() {
 	for m.K > 0 &&
 		m.E[0][0].DivisibleBySqrt2() && m.E[0][1].DivisibleBySqrt2() &&
 		m.E[1][0].DivisibleBySqrt2() && m.E[1][1].DivisibleBySqrt2() {
@@ -79,7 +79,7 @@ func (m UMat) Mul(n UMat) UMat {
 			r.E[i][j] = m.E[i][0].Mul(n.E[0][j]).Add(m.E[i][1].Mul(n.E[1][j]))
 		}
 	}
-	r.reduce()
+	r.Reduce()
 	return r
 }
 
@@ -110,7 +110,7 @@ func (m *UMat) HadamardCols() {
 		m.E[i][0], m.E[i][1] = a.Add(b), a.Sub(b)
 	}
 	m.K++
-	m.reduce()
+	m.Reduce()
 }
 
 // MaxAbsCoeff returns the largest coefficient magnitude of m (saturating

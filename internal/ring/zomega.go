@@ -6,17 +6,18 @@
 //	D[ω]   = Z[ω, 1/√2]                       (entries of Clifford+T matrices)
 //
 // Two parallel implementations are provided: machine int64 coefficients
-// (ZOmega, ZSqrt2, UMat: the step-0 table, exact synthesis's peel loop and
-// the norm equation's word path) and math/big coefficients (BOmega,
-// BSqrt2: gridsynth's u and ξ = 2^k − u·ū, exact synthesis of its
-// solutions, and the reference paths that the int64 ones are tested
-// against). The big types have value methods; only gridsynth's candidate
-// loop uses their in-place forms (inplace.go).
+// (ZOmega, ZSqrt2, UMat: everything gridsynth computes, from its
+// candidates u and ξ = 2^k − u·ū through the norm equation's word path to
+// exact synthesis's peel loop, and the step-0 table) and math/big
+// coefficients (BOmega, BSqrt2: the norm equation's path for ξ past the
+// word path's bounds, and the reference paths that the int64 ones are
+// tested against). The big types have value methods only.
 package ring
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Sqrt2 is the float64 value of √2, used for numeric embeddings.
@@ -166,6 +167,41 @@ func (x ZSqrt2) NormZ() int64 { return x.A*x.A - 2*x.B*x.B }
 
 // IsZero reports whether x = 0.
 func (x ZSqrt2) IsZero() bool { return x.A == 0 && x.B == 0 }
+
+// Sign returns the sign of the real embedding a + b√2, decided exactly
+// for every int64 a and b: when a and b differ in sign, a² is compared
+// with 2b² in 128 bits.
+func (x ZSqrt2) Sign() int {
+	switch {
+	case x.A == 0 && x.B == 0:
+		return 0
+	case x.A >= 0 && x.B >= 0:
+		return 1
+	case x.A <= 0 && x.B <= 0:
+		return -1
+	}
+	// |a| and |b| as uint64 (exact for MinInt64 too); 2b² < 2^128.
+	ua, ub := uint64(x.A), uint64(x.B)
+	if x.A < 0 {
+		ua = -ua
+	} else {
+		ub = -ub
+	}
+	aHi, aLo := bits.Mul64(ua, ua)
+	bHi, bLo := bits.Mul64(ub, ub)
+	bHi, bLo = bHi<<1|bLo>>63, bLo<<1
+	if aHi > bHi || aHi == bHi && aLo > bLo { // |a| dominates
+		return sign64(x.A)
+	}
+	return sign64(x.B) // a² = 2b² only at a = b = 0
+}
+
+func sign64(a int64) int {
+	if a < 0 {
+		return -1
+	}
+	return 1
+}
 
 // ToZOmega embeds x into Z[ω] (√2 = ω − ω³).
 func (x ZSqrt2) ToZOmega() ZOmega { return ZOmega{x.A, x.B, 0, -x.B} }
