@@ -1,8 +1,10 @@
 package gridsynth
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/dioph"
@@ -14,7 +16,72 @@ import (
 // sequences to the arbitrary-precision reference path — same gates in the
 // same order, same T count, same denominator exponent k — for fixed seeds
 // across the benchmark ε ladder. This is the acceptance gate that lets
-// the perf work claim "no output change".
+// the perf work claim "no output change". The reference path's answers
+// are also pinned in pinsFile, so the claim outlives the reference.
+
+// pinsFile holds the reference path's answers, keyed by test name: each
+// seed-equality tier's Rz results and TestPreFilterNeverLies's verdicts.
+// A test whose key is missing records its answers and fails, so a pin
+// cannot pass unchecked.
+const pinsFile = "testdata/reference_pins.json"
+
+// pinnedRz is one pinned Rz result. The angle and the error are stored as
+// the hex of their IEEE-754 bits, so they compare exactly.
+type pinnedRz struct {
+	Theta    string  `json:"theta"`
+	Eps      float64 `json:"eps"`
+	K        int     `json:"k"`
+	T        int     `json:"t"`
+	Clifford int     `json:"clifford"`
+	Error    string  `json:"error"`
+	Seq      string  `json:"seq"`
+}
+
+// pinnedVerdict is whether the norm equation t·t† = a + b√2 is solvable.
+type pinnedVerdict struct {
+	A  int64 `json:"a"`
+	B  int64 `json:"b"`
+	OK bool  `json:"ok"`
+}
+
+// checkPinned compares got, in order, with the answers pinned under
+// t.Name() in pinsFile; when there are none, it records got and fails.
+func checkPinned[E comparable](t *testing.T, got []E) {
+	t.Helper()
+	pins := map[string]json.RawMessage{}
+	data, err := os.ReadFile(pinsFile)
+	if err == nil {
+		err = json.Unmarshal(data, &pins)
+	}
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	raw, ok := pins[t.Name()]
+	if !ok {
+		if pins[t.Name()], err = json.Marshal(got); err == nil {
+			data, err = json.MarshalIndent(pins, "", "\t")
+		}
+		if err == nil {
+			err = os.WriteFile(pinsFile, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %d answers under %s in %s; run again to check against them", len(got), t.Name(), pinsFile)
+	}
+	var want []E
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d answers, %d pinned", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: got %+v, pinned %+v", i, got[i], want[i])
+		}
+	}
+}
 
 // withReferencePaths runs f with the norm equation's word path disabled,
 // restoring the production configuration afterwards.
@@ -83,6 +150,12 @@ func runEquality(t *testing.T, eps float64, angles []float64) {
 			fast[i].K, fast[i].TCount, fast[i].Error, fast[i].Seq,
 			ref[i].K, ref[i].TCount, ref[i].Error, ref[i].Seq)
 	}
+	pins := make([]pinnedRz, len(angles))
+	for i, r := range ref {
+		pins[i] = pinnedRz{Theta: hexBits(angles[i]), Eps: eps, K: r.K, T: r.TCount,
+			Clifford: r.Clifford, Error: hexBits(r.Error), Seq: r.Seq.String()}
+	}
+	checkPinned(t, pins)
 }
 
 func TestSeedEquality1e2(t *testing.T) { runEquality(t, 1e-2, equalityAngles(11, 8)) }
@@ -96,7 +169,8 @@ func TestSeedEquality1e6(t *testing.T) { runEquality(t, 1e-6, equalityAngles(13,
 // the word path, so Solve with the word path on must agree with the
 // unfiltered big.Int reference on every ξ. (Acceptance by the filter
 // decides nothing — the solver still runs — so agreement is exactly the
-// soundness claim.) Two input families: random small ξ, every one with a
+// soundness claim.) The reference's verdicts are also pinned in
+// pinsFile. Two input families: random small ξ, every one with a
 // norm below the word path's 2^31 so it reaches the filter, and crafted ξ
 // with odd valuation v_p(N(ξ)) at EVERY small prime p ≡ 7 (mod 8) the
 // filter tests (the documented reject condition).
@@ -118,6 +192,7 @@ func TestPreFilterNeverLies(t *testing.T) {
 		}
 		return false
 	}
+	var verdicts []pinnedVerdict
 	check := func(xi ring.ZSqrt2) {
 		t.Helper()
 		dioph.SetFastPath(true)
@@ -127,6 +202,7 @@ func TestPreFilterNeverLies(t *testing.T) {
 		if okFiltered != okFull {
 			t.Fatalf("ξ=%v: filtered=%v full=%v", xi, okFiltered, okFull)
 		}
+		verdicts = append(verdicts, pinnedVerdict{A: xi.A, B: xi.B, OK: okFull})
 	}
 	rng := rand.New(rand.NewSource(99))
 	rejected := 0
@@ -166,4 +242,5 @@ func TestPreFilterNeverLies(t *testing.T) {
 			t.Fatalf("no odd-valuation ξ found for p=%d", p)
 		}
 	}
+	checkPinned(t, verdicts)
 }
