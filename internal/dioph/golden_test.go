@@ -11,9 +11,10 @@ import (
 	"repro/internal/ring"
 )
 
-// goldenSolveHash is the sha256 of Solve's answers on goldenXis, one line
-// per ξ: "a b: t.A t.B t.C t.D", or "a b: none" when Solve reports no
-// solution. A change to the solver that moves any answer, including which
+// goldenSolveHash is the sha256 of the reference's answers on goldenXis,
+// one line per ξ: "a b: t.A t.B t.C t.D", or "a b: none" when it reports
+// no solution. It was recorded from Solve when Solve still answered past
+// the word bounds. A change that moves any answer, including which
 // associate of t comes back, shows here.
 const goldenSolveHash = "30851e7e3cc816b971769c32a92885a3ee7857a79bca83b2267e482b2b2819c4"
 
@@ -139,27 +140,41 @@ func below(z ring.ZOmega, lim int64) bool {
 	return true
 }
 
-// TestSolveGolden pins Solve's answer on every ξ of goldenXis, through one
-// Solver as gridsynth uses it, and checks that every t it returns
-// satisfies t·t† = ξ.
+// TestSolveGolden pins the reference's answer on every ξ of goldenXis and
+// checks that every t it returns satisfies t·t† = ξ. Solve, through one
+// Solver as gridsynth uses it, must refuse every ξ past the norm bound and
+// give the reference's answer on every other.
 func TestSolveGolden(t *testing.T) {
 	xis := goldenXis()
 	h := sha256.New()
 	sv := NewSolver()
-	solved := 0
+	solved, above, lost := 0, 0, 0
 	for _, xi := range xis {
-		got, ok := sv.Solve(xi)
+		want, ok := solveBig(ring.BSqrt2FromZSqrt2(xi))
+		got, okGot := sv.Solve(xi)
+		if !belowNormLimit(xi) {
+			above++
+			if okGot {
+				t.Fatalf("ξ = %v is past the norm bound, but Solve returned t = %v", xi, got)
+			}
+			if ok {
+				lost++
+			}
+		} else if okGot != ok || ok && !ring.BOmegaFromZOmega(got).Equal(want) {
+			t.Fatalf("ξ = %v: Solve = %v, %v; reference %v, %v", xi, got, okGot, want, ok)
+		}
 		if !ok {
 			fmt.Fprintf(h, "%v %v: none\n", xi.A, xi.B)
 			continue
 		}
 		solved++
-		if !verifies(got, xi) {
-			t.Fatalf("ξ = %v: t = %v does not verify (t·t† = %v)", xi, got, got.Norm2())
+		if !want.Norm2().Equal(ring.BSqrt2FromZSqrt2(xi)) {
+			t.Fatalf("ξ = %v: t = %v does not verify (t·t† = %v)", xi, want, want.Norm2())
 		}
-		fmt.Fprintf(h, "%v %v: %v %v %v %v\n", xi.A, xi.B, got.A, got.B, got.C, got.D)
+		fmt.Fprintf(h, "%v %v: %v %v %v %v\n", xi.A, xi.B, want.A, want.B, want.C, want.D)
 	}
-	t.Logf("%d ξ, %d solved", len(xis), solved)
+	t.Logf("%d ξ, %d solved by the reference; Solve refuses the %d past the norm bound, %d of them solvable",
+		len(xis), solved, above, lost)
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSolveHash {
 		t.Errorf("answers hash %s, recorded %s", got, goldenSolveHash)
 	}

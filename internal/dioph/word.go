@@ -2,15 +2,15 @@ package dioph
 
 import "repro/internal/ring"
 
-// The word path: the big path's steps, in its order, on int64
-// coefficients, with one step added: a residue pre-filter (preFilter64)
-// that rejects before factoring what factoring would reject.
+// The word path: the steps of the big.Int reference in this package's
+// tests (solveBig), in its order, on int64 coefficients, with one step
+// added: a residue pre-filter (preFilter64) that rejects before factoring
+// what factoring would reject.
 // Every product is a wide and every stored result passes narrow, so a
 // value that would leave the word range is caught before it is stored;
-// the call is then handed to the big path from its start, which returns
-// the reference answer. Each Euclidean step rounds the same rational
-// quotients as the big path (roundQuo), so the same associates, and hence
-// the same t, come out.
+// the call then ends refused. Each Euclidean step rounds the same
+// rational quotients as the reference (roundQuo), so the same associates,
+// and hence the same t, come out.
 
 // wordNormLimit bounds |N(ξ)| for the word path. Every prime p it splits
 // is then below 2^31, so the largest first step of a Z[ω] gcd, with
@@ -21,7 +21,7 @@ const wordNormLimit = 1 << 31
 type outcome int8
 
 const (
-	handOff outcome = iota // ξ is out of range, or a value left it: use the big path
+	refused outcome = iota // ξ is out of range, or a value left it
 	noSolution
 	solved
 )
@@ -189,7 +189,7 @@ func gcdO(a, b ring.ZOmega) (ring.ZOmega, bool) {
 // unitExponentWord is unitLambdaExponent on words: j with q = λ^j, or
 // ok=false if q is not a positive power of λ. Every positive unit is
 // some λ^j, and one whose coefficients lie below wordLimit is in
-// lambdaPows, so the table answers wherever the big path's logarithm does.
+// lambdaPows, so the table answers wherever the reference's logarithm does.
 func unitExponentWord(q ring.ZSqrt2) (int, bool) {
 	if q.Sign() <= 0 {
 		return 0, false
@@ -213,12 +213,12 @@ func unitExponentWord(q ring.ZSqrt2) (int, bool) {
 	return 0, false
 }
 
-// solveWord runs Solve on words. It hands off (to the big path, from the
-// start) when ξ's coefficients reach wordLimit or |N(ξ)| reaches
-// wordNormLimit, and whenever a later value would leave the word range.
+// solveWord runs Solve on words. It refuses ξ whose coefficients reach
+// wordLimit or whose |N(ξ)| reaches wordNormLimit, and any ξ for which a
+// later value would leave the word range.
 func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 	if !inWord(x.A) || !inWord(x.B) || normS(x).abs().cmp(wideOf(wordNormLimit)) >= 0 {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	if x.IsZero() {
 		return ring.ZOmega{}, solved
@@ -232,7 +232,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 		rem = ring.ZSqrt2{A: rem.B, B: rem.A >> 1}
 		var ok bool
 		if t, ok = mulO(t, deltaWord); !ok {
-			return ring.ZOmega{}, handOff
+			return ring.ZOmega{}, refused
 		}
 	}
 	n, _ := normS(rem).abs().narrow() // |N(rem)| ≤ |N(ξ)| < wordNormLimit
@@ -267,7 +267,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 			}
 			pi, ok := gcdS(ring.ZSqrt2{A: int64(p)}, ring.ZSqrt2{A: int64(r), B: -1})
 			if !ok {
-				return ring.ZOmega{}, handOff
+				return ring.ZOmega{}, refused
 			}
 			if normS(pi).abs().cmp(wideOf(1)) == 0 {
 				return ring.ZOmega{}, noSolution
@@ -277,7 +277,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 				for {
 					q, exact, ok := divExactS(rem, prime)
 					if !ok {
-						return ring.ZOmega{}, handOff
+						return ring.ZOmega{}, refused
 					}
 					if !exact {
 						break
@@ -294,7 +294,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 						return ring.ZOmega{}, noSolution
 					}
 					if !times(prime.ToZOmega(), e/2) {
-						return ring.ZOmega{}, handOff
+						return ring.ZOmega{}, refused
 					}
 					continue
 				}
@@ -304,7 +304,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 					return ring.ZOmega{}, out
 				}
 				if !times(eta, e) {
-					return ring.ZOmega{}, handOff
+					return ring.ZOmega{}, refused
 				}
 			}
 		case 3, 5:
@@ -327,7 +327,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 				return ring.ZOmega{}, out
 			}
 			if !times(mu, e) {
-				return ring.ZOmega{}, handOff
+				return ring.ZOmega{}, refused
 			}
 		default: // p = 2 cannot appear: √2 factors were removed
 			return ring.ZOmega{}, noSolution
@@ -336,11 +336,11 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 	// Fix the leftover unit: ξ/(t·t†) must be λ^{2s} (totally positive unit).
 	tt, ok := norm2O(t)
 	if !ok {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	uq, exact, ok := divExactS(x, tt)
 	if !ok {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	if !exact {
 		return ring.ZOmega{}, noSolution
@@ -350,7 +350,7 @@ func (sv *Solver) solveWord(x ring.ZSqrt2) (ring.ZOmega, outcome) {
 		return ring.ZOmega{}, noSolution
 	}
 	if t, ok = mulO(t, lambdaPow(j/2).ToZOmega()); !ok {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	// Exact verification — the soundness guarantee.
 	if tt, ok = norm2O(t); !ok || tt != x {
@@ -367,11 +367,11 @@ func (sv *Solver) splitOmegaWord(pi ring.ZSqrt2, p uint64, square int64, root ri
 	}
 	eta, ok := gcdO(pi.ToZOmega(), ring.ZOmega{A: int64(r)}.Sub(root))
 	if !ok {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	n2, ok := norm2O(eta)
 	if !ok {
-		return ring.ZOmega{}, handOff
+		return ring.ZOmega{}, refused
 	}
 	if normS(n2).abs().cmp(wideOf(1)) == 0 {
 		return ring.ZOmega{}, noSolution

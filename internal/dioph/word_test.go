@@ -198,50 +198,50 @@ func TestEuclidMatchesBig(t *testing.T) {
 	}
 }
 
-// TestSolveGoldenPaths runs the golden set through each path separately:
-// below the bounds the word path answers every ξ with the big path's
-// answer, and above them it hands every ξ to the big path.
+// TestSolveGoldenPaths runs the golden set through the word path and the
+// reference separately: below the bounds the word path answers every ξ
+// with the reference's answer, and above them it refuses every ξ.
 func TestSolveGoldenPaths(t *testing.T) {
-	word, ref := NewSolver(), NewSolver()
+	word := NewSolver()
 	counts := map[outcome]int{}
 	for _, xi := range goldenXis() {
 		tw, out := word.solveWord(xi)
 		counts[out]++
-		if above := !belowNormLimit(xi); above != (out == handOff) {
+		if above := !belowNormLimit(xi); above != (out == refused) {
 			t.Fatalf("ξ = %v (|N| ≥ 2^31: %v): word path outcome %d", xi, above, out)
 		}
-		if out != handOff {
-			tb, ok := ref.solveBig(ring.BSqrt2FromZSqrt2(xi))
+		if out != refused {
+			tb, ok := solveBig(ring.BSqrt2FromZSqrt2(xi))
 			sameAnswer(t, xi, tw, out, tb, ok)
 		}
 	}
-	t.Logf("word path: %d solved, %d without solution; %d handed to the big path",
-		counts[solved], counts[noSolution], counts[handOff])
+	t.Logf("word path: %d solved, %d without solution, %d refused",
+		counts[solved], counts[noSolution], counts[refused])
 }
 
-// sameAnswer fails unless the word path's answer (tw, out) is the big
-// path's (tb, ok), and any t returned verifies.
+// sameAnswer fails unless the word path's answer (tw, out) is the
+// reference's (tb, ok), and any t returned verifies.
 func sameAnswer(t *testing.T, xi ring.ZSqrt2, tw ring.ZOmega, out outcome, tb ring.BOmega, ok bool) {
 	t.Helper()
 	if (out == solved) != ok {
-		t.Fatalf("ξ = %v: word path outcome %d, big path ok=%v (t = %v)", xi, out, ok, tb)
+		t.Fatalf("ξ = %v: word path outcome %d, reference ok=%v (t = %v)", xi, out, ok, tb)
 	}
 	if !ok {
 		return
 	}
 	if got := ring.BOmegaFromZOmega(tw); !got.Equal(tb) {
-		t.Fatalf("ξ = %v: word path t = %v, big path t = %v", xi, got, tb)
+		t.Fatalf("ξ = %v: word path t = %v, reference t = %v", xi, got, tb)
 	}
 	if !tb.Norm2().Equal(ring.BSqrt2FromZSqrt2(xi)) {
 		t.Fatalf("ξ = %v: t = %v does not verify", xi, tb)
 	}
 }
 
-// handOffCases are ξ the word path must hand to the big path: norms just
-// past wordNormLimit, coefficients at wordLimit, and ξ = 32·λ^−40, whose
+// refusedCases are solvable ξ the word path must refuse: norms just past
+// wordNormLimit, coefficients at wordLimit, and ξ = 32·λ^−40, whose
 // coefficients (56 bits) and norm (2^10) are in range but whose leftover
 // unit λ^−50 is not.
-func handOffCases() []ring.ZSqrt2 {
+func refusedCases() []ring.ZSqrt2 {
 	return []ring.ZSqrt2{
 		{A: 50339, B: 13902},                          // N = 2147483713 > 2^31, a prime ≡ 1
 		{A: 46349},                                    // N = 46349² > 2^31, a prime ≡ 5
@@ -251,38 +251,36 @@ func handOffCases() []ring.ZSqrt2 {
 }
 
 // TestSolveAboveBound drives ξ above the bounds, and one that leaves the
-// word range midway, through Solve: the word path hands each off and
-// Solve returns the big path's answer.
+// word range midway, through Solve: the word path refuses each, so Solve
+// reports none, though the reference solves every one.
 func TestSolveAboveBound(t *testing.T) {
 	sv := NewSolver()
-	for _, xi := range handOffCases() {
-		if _, out := sv.solveWord(xi); out != handOff {
-			t.Fatalf("ξ = %v: word path outcome %d, want a hand-off", xi, out)
+	for _, xi := range refusedCases() {
+		if _, out := sv.solveWord(xi); out != refused {
+			t.Fatalf("ξ = %v: word path outcome %d, want a refusal", xi, out)
 		}
-		got, ok := sv.Solve(xi)
-		want, okWant := NewSolver().solveBig(ring.BSqrt2FromZSqrt2(xi))
-		if ok != okWant || ok && !ring.BOmegaFromZOmega(got).Equal(want) {
-			t.Fatalf("ξ = %v: Solve = %v, %v; big path %v, %v", xi, got, ok, want, okWant)
+		if got, ok := sv.Solve(xi); ok {
+			t.Fatalf("ξ = %v: Solve returned t = %v past the word bounds", xi, got)
 		}
-		if !ok {
-			t.Fatalf("ξ = %v has a solution", xi)
+		if _, ok := solveBig(ring.BSqrt2FromZSqrt2(xi)); !ok {
+			t.Fatalf("ξ = %v has a solution, but the reference found none", xi)
 		}
 	}
 }
 
-// FuzzSolve compares the word path with the big path on fuzzed ξ = a +
-// b√2: where the word path answers, the big path gives the same answer
+// FuzzSolve compares the word path with the reference on fuzzed ξ = a +
+// b√2: where the word path answers, the reference gives the same answer
 // (both no solution, or the same t) and any t verifies exactly; ξ at or
-// past either bound must be handed off. A hand-off is itself correct (the
-// big path answers), so it is checked only where it is required. The
-// seeds, the golden edge cases and ξ on both sides of each bound, run
-// with every `go test`; `go test -fuzz FuzzSolve ./internal/dioph/`
-// searches further.
+// past either bound must be refused. Within the bounds a refusal is
+// allowed (a value that leaves the word range midway ends the call), so it
+// is checked only where it is required. The seeds, the golden edge cases
+// and ξ on both sides of each bound, run with every `go test`;
+// `go test -fuzz FuzzSolve ./internal/dioph/` searches further.
 func FuzzSolve(f *testing.F) {
 	for _, e := range goldenEdgeCases {
 		f.Add(e[0], e[1])
 	}
-	for _, xi := range handOffCases() {
+	for _, xi := range refusedCases() {
 		f.Add(xi.A, xi.B)
 	}
 	l49 := lambdaPows[49] // the largest power of λ in range
@@ -292,13 +290,13 @@ func FuzzSolve(f *testing.F) {
 		xi := ring.ZSqrt2{A: a, B: b}
 		tw, out := NewSolver().solveWord(xi)
 		inRange := a > -wordLimit && a < wordLimit && b > -wordLimit && b < wordLimit && belowNormLimit(xi)
-		if !inRange && out != handOff {
+		if !inRange && out != refused {
 			t.Fatalf("ξ = %v is past the bounds but the word path answered (%d)", xi, out)
 		}
-		if out == handOff {
+		if out == refused {
 			return
 		}
-		tb, ok := NewSolver().solveBig(ring.BSqrt2FromZSqrt2(xi))
+		tb, ok := solveBig(ring.BSqrt2FromZSqrt2(xi))
 		sameAnswer(t, xi, tw, out, tb, ok)
 	})
 }

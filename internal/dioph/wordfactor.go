@@ -8,8 +8,27 @@ import (
 // The word path's number theory: factoring, primality and square roots
 // modulo a prime for moduli below 2^62, multiplying modulo m through
 // bits.Mul64 and bits.Div64. Each routine takes the steps its big.Int
-// counterpart takes (Factor, rhoBrent, big.Int.ModSqrt), so every
-// decision, and hence every answer, is the same.
+// counterpart in the tests' reference takes (Factor, rhoBrent,
+// big.Int.ModSqrt), so every decision, and hence every answer, is the
+// same.
+
+// smallPrimes are the trial divisors, the primes below 2^14.
+var smallPrimes = sievePrimes(1 << 14)
+
+func sievePrimes(n int) []int64 {
+	sieve := make([]bool, n)
+	var out []int64
+	for i := 2; i < n; i++ {
+		if sieve[i] {
+			continue
+		}
+		out = append(out, int64(i))
+		for j := i * i; j < n; j += i {
+			sieve[j] = true
+		}
+	}
+	return out
+}
 
 // wordPower is a prime factor of a word together with its multiplicity.
 type wordPower struct {

@@ -11,13 +11,13 @@ import (
 	"repro/internal/ring"
 )
 
-// Seed-equality property: the optimized hot path (the norm equation's
-// word path with its residue pre-filter) must produce bit-identical gate
-// sequences to the arbitrary-precision reference path — same gates in the
-// same order, same T count, same denominator exponent k — for fixed seeds
-// across the benchmark ε ladder. This is the acceptance gate that lets
-// the perf work claim "no output change". The reference path's answers
-// are also pinned in pinsFile, so the claim outlives the reference.
+// Seed-equality property: the norm equation's word path, with its
+// residue pre-filter, must produce bit-identical gate sequences to the
+// arbitrary-precision reference path — same gates in the same order, same
+// T count, same denominator exponent k, same error bits — for fixed seeds
+// across the benchmark ε ladder. The reference (dioph's big.Int solver,
+// which now lives in dioph's tests) is pinned here by its answers in
+// pinsFile, recorded while both paths still ran side by side and agreed.
 
 // pinsFile holds the reference path's answers, keyed by test name: each
 // seed-equality tier's Rz results and TestPreFilterNeverLies's verdicts.
@@ -83,32 +83,6 @@ func checkPinned[E comparable](t *testing.T, got []E) {
 	}
 }
 
-// withReferencePaths runs f with the norm equation's word path disabled,
-// restoring the production configuration afterwards.
-func withReferencePaths(t *testing.T, f func()) {
-	t.Helper()
-	defer dioph.SetFastPath(dioph.SetFastPath(false))
-	f()
-}
-
-func sequencesEqual(a, b []Result) (int, bool) {
-	for i := range a {
-		if len(a[i].Seq) != len(b[i].Seq) {
-			return i, false
-		}
-		for j := range a[i].Seq {
-			if a[i].Seq[j] != b[i].Seq[j] {
-				return i, false
-			}
-		}
-		if a[i].TCount != b[i].TCount || a[i].Clifford != b[i].Clifford ||
-			a[i].K != b[i].K || a[i].Error != b[i].Error {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
 // equalityAngles returns the fixed angle set for one ε tier: a seeded
 // spread plus the five angles BenchmarkRz and TestAllocBudget cycle
 // through, so the equality claim covers what they measure.
@@ -126,33 +100,13 @@ func equalityAngles(seed int64, n int) []float64 {
 
 func runEquality(t *testing.T, eps float64, angles []float64) {
 	t.Helper()
-	fast := make([]Result, len(angles))
+	pins := make([]pinnedRz, len(angles))
 	for i, theta := range angles {
 		r, err := Rz(theta, eps, Options{})
 		if err != nil {
-			t.Fatalf("fast Rz(%v, %v): %v", theta, eps, err)
+			t.Fatalf("Rz(%v, %v): %v", theta, eps, err)
 		}
-		fast[i] = r
-	}
-	ref := make([]Result, len(angles))
-	withReferencePaths(t, func() {
-		for i, theta := range angles {
-			r, err := Rz(theta, eps, Options{})
-			if err != nil {
-				t.Fatalf("reference Rz(%v, %v): %v", theta, eps, err)
-			}
-			ref[i] = r
-		}
-	})
-	if i, ok := sequencesEqual(fast, ref); !ok {
-		t.Fatalf("eps=%v theta=%v: fast path diverged from reference:\nfast: k=%d t=%d err=%v %v\nref:  k=%d t=%d err=%v %v",
-			eps, angles[i],
-			fast[i].K, fast[i].TCount, fast[i].Error, fast[i].Seq,
-			ref[i].K, ref[i].TCount, ref[i].Error, ref[i].Seq)
-	}
-	pins := make([]pinnedRz, len(angles))
-	for i, r := range ref {
-		pins[i] = pinnedRz{Theta: hexBits(angles[i]), Eps: eps, K: r.K, T: r.TCount,
+		pins[i] = pinnedRz{Theta: hexBits(theta), Eps: eps, K: r.K, T: r.TCount,
 			Clifford: r.Clifford, Error: hexBits(r.Error), Seq: r.Seq.String()}
 	}
 	checkPinned(t, pins)
@@ -165,17 +119,15 @@ func TestSeedEquality1e4(t *testing.T) { runEquality(t, 1e-4, equalityAngles(12,
 func TestSeedEquality1e6(t *testing.T) { runEquality(t, 1e-6, equalityAngles(13, 4)) }
 
 // TestPreFilterNeverLies proves the residue pre-filter is a pure
-// optimization: filtering never changes a verdict. The filter runs only on
-// the word path, so Solve with the word path on must agree with the
-// unfiltered big.Int reference on every ξ. (Acceptance by the filter
-// decides nothing — the solver still runs — so agreement is exactly the
-// soundness claim.) The reference's verdicts are also pinned in
-// pinsFile. Two input families: random small ξ, every one with a
+// optimization: filtering never changes a verdict. Solve, which filters,
+// must agree with the unfiltered big.Int reference's verdicts, pinned in
+// pinsFile, on every ξ. (Acceptance by the filter decides nothing — the
+// solver still runs — so agreement is exactly the soundness claim.) Two
+// input families: random small ξ, every one with a
 // norm below the word path's 2^31 so it reaches the filter, and crafted ξ
 // with odd valuation v_p(N(ξ)) at EVERY small prime p ≡ 7 (mod 8) the
 // filter tests (the documented reject condition).
 func TestPreFilterNeverLies(t *testing.T) {
-	defer dioph.SetFastPath(dioph.SetFastPath(true))
 	primes := []int64{7, 23, 31, 47, 71, 79, 103, 127, 151, 167,
 		191, 199, 223, 239, 263, 271, 311, 359, 367, 383}
 	// oddAt reports whether n has an odd valuation at some listed prime:
@@ -195,14 +147,8 @@ func TestPreFilterNeverLies(t *testing.T) {
 	var verdicts []pinnedVerdict
 	check := func(xi ring.ZSqrt2) {
 		t.Helper()
-		dioph.SetFastPath(true)
-		_, okFiltered := dioph.NewSolver().Solve(xi)
-		dioph.SetFastPath(false)
-		_, okFull := dioph.NewSolver().Solve(xi)
-		if okFiltered != okFull {
-			t.Fatalf("ξ=%v: filtered=%v full=%v", xi, okFiltered, okFull)
-		}
-		verdicts = append(verdicts, pinnedVerdict{A: xi.A, B: xi.B, OK: okFull})
+		_, ok := dioph.NewSolver().Solve(xi)
+		verdicts = append(verdicts, pinnedVerdict{A: xi.A, B: xi.B, OK: ok})
 	}
 	rng := rand.New(rand.NewSource(99))
 	rejected := 0
