@@ -224,6 +224,34 @@ func TestSharedCaches(t *testing.T) {
 	}
 }
 
+// TestSharedRefusesBadBudget: a budget BuildTable refuses makes Shared
+// panic with BuildTable's message on every call, not just the first, and
+// leaves nothing cached, so a valid budget still works afterwards.
+func TestSharedRefusesBadBudget(t *testing.T) {
+	panicOf := func(f func(int) *Table, maxT int) (msg any) {
+		defer func() { msg = recover() }()
+		f(maxT)
+		return nil
+	}
+	for _, maxT := range []int{25, -1} {
+		want := panicOf(BuildTable, maxT)
+		for call := 1; call <= 2; call++ {
+			if got := panicOf(Shared, maxT); got == nil || got != want {
+				t.Fatalf("Shared(%d), call %d: panic %v, want BuildTable's %v", maxT, call, got, want)
+			}
+		}
+		sharedMu.Lock()
+		_, cached := sharedTab[maxT]
+		sharedMu.Unlock()
+		if cached {
+			t.Errorf("Shared(%d) cached an entry", maxT)
+		}
+	}
+	if tab := Shared(5); tab == nil || tab.MaxT != 5 {
+		t.Fatalf("Shared(5) after the refusals = %v", tab)
+	}
+}
+
 // TestSharedConcurrentFirstUse hammers Shared from many goroutines across
 // several budgets simultaneously, including budgets no other test touches,
 // so the per-budget construction race is exercised under -race: every

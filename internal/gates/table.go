@@ -52,6 +52,13 @@ type Table struct {
 	Levels [][]Entry // Levels[t] = operators with minimal T count exactly t
 }
 
+// checkMaxT panics unless 0 ≤ maxT ≤ 24, the budgets BuildTable takes.
+func checkMaxT(maxT int) {
+	if maxT < 0 || maxT > 24 {
+		panic(fmt.Sprintf("gates: unreasonable maxT %d", maxT))
+	}
+}
+
 type maPart struct {
 	bits uint32
 	nsyl uint8
@@ -62,9 +69,7 @@ type maPart struct {
 // BuildTable enumerates all unique operators with T count ≤ maxT.
 // The number of entries is 24·(3·2^maxT − 2); maxT ≤ 12 is practical.
 func BuildTable(maxT int) *Table {
-	if maxT < 0 || maxT > 24 {
-		panic(fmt.Sprintf("gates: unreasonable maxT %d", maxT))
-	}
+	checkMaxT(maxT)
 	cliffs := CliffordGroup()
 	ht := Sequence{H, T}.UMat()
 	sht := Sequence{S, H, T}.UMat()
@@ -185,13 +190,16 @@ type sharedEntry struct {
 // the same entries, so one enumeration stays in memory rather than two;
 // otherwise it builds the table on first use. Tables are immutable after
 // construction; Shared is safe for concurrent use, including concurrent
-// first use (each budget's table is built at most once).
+// first use (each budget's table is built at most once). A budget that
+// BuildTable refuses panics with its message on every call and is never
+// cached.
 func Shared(maxT int) *Table {
+	checkMaxT(maxT)
 	sharedMu.Lock()
 	e, ok := sharedTab[maxT]
 	if !ok {
 		e = &sharedEntry{}
-		if big := builtAbove(maxT); big != nil && maxT >= 0 {
+		if big := builtAbove(maxT); big != nil {
 			e.tab = big.view(maxT)
 		}
 		sharedTab[maxT] = e
