@@ -444,6 +444,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) (int, err
 	if strings.TrimSpace(req.QASM) == "" {
 		return 0, badRequest("empty qasm")
 	}
+	if err := checkTrasynKnobs(req.Samples, req.TBudget); err != nil {
+		return 0, err
+	}
 	circ, err := circuit.ParseQASM(req.QASM)
 	if err != nil {
 		return 0, badRequest("parsing qasm: %v", err)
@@ -497,6 +500,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) (int, 
 	}
 	if len(req.Rotations) == 0 {
 		return 0, badRequest("empty rotations")
+	}
+	if err := checkTrasynKnobs(req.Samples, req.TBudget); err != nil {
+		return 0, err
 	}
 	be, _, err := s.backend(req.Backend)
 	if err != nil {

@@ -99,6 +99,66 @@ func TestCompileValidation(t *testing.T) {
 	}
 }
 
+// oversizedKnobs are trasyn knob pairs (samples, tbudget) outside the
+// accepted ranges: each must be refused before any synthesis.
+var oversizedKnobs = [][2]int{{0, serve.MaxTBudget + 1}, {0, 25}, {0, -1}, {serve.MaxSamples + 1, 0}, {1e9, 0}, {-1, 0}}
+
+// checkRefusedKnobs fails unless send, run on every oversizedKnobs pair,
+// answered 400 each time, and the server cached nothing and counted no
+// panic.
+func checkRefusedKnobs(t *testing.T, cl *client.Client, send func(samples, tbudget int) error) {
+	t.Helper()
+	ctx := context.Background()
+	before, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range oversizedKnobs {
+		var ae *client.APIError
+		if err := send(k[0], k[1]); !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("samples %d, tbudget %d: want 400 APIError, got %v", k[0], k[1], err)
+		}
+	}
+	h, err := cl.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.CacheSize != 0 {
+		t.Errorf("refused requests left %d cache entries", h.CacheSize)
+	}
+	after, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, a := grepLines(before, "synthd_panics_total"), grepLines(after, "synthd_panics_total"); a != b {
+		t.Errorf("panic counters moved:\n%s\nwas\n%s", a, b)
+	}
+}
+
+// TestCompileRefusesOversizedTrasynKnobs: /v1/compile refuses tbudget
+// outside [0, MaxTBudget] and samples outside [0, MaxSamples] with a 400
+// before trasyn runs.
+func TestCompileRefusesOversizedTrasynKnobs(t *testing.T) {
+	_, cl := newTestServer(t, serve.Config{DefaultBackend: "trasyn"})
+	checkRefusedKnobs(t, cl, func(samples, tbudget int) error {
+		_, err := cl.Compile(context.Background(), serve.CompileRequest{
+			QASM: testQASM, RotEps: 0.1, Samples: samples, TBudget: tbudget})
+		return err
+	})
+}
+
+// TestSynthesizeRefusesOversizedTrasynKnobs: /v1/synthesize refuses the
+// same knobs the same way.
+func TestSynthesizeRefusesOversizedTrasynKnobs(t *testing.T) {
+	_, cl := newTestServer(t, serve.Config{DefaultBackend: "trasyn"})
+	checkRefusedKnobs(t, cl, func(samples, tbudget int) error {
+		_, err := cl.Synthesize(context.Background(), serve.SynthesizeRequest{
+			Eps: 0.1, Samples: samples, TBudget: tbudget,
+			Rotations: []serve.Rotation{{Gate: "rz", Params: [3]float64{0.73}}}})
+		return err
+	})
+}
+
 func asAPIError(err error, out **client.APIError) bool {
 	ae, ok := err.(*client.APIError)
 	if ok {

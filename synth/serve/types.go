@@ -50,6 +50,8 @@ type CompileRequest struct {
 	// transpile → fuse → snap → lower → estimate pipeline).
 	Passes []string `json:"passes,omitempty"`
 	// Samples/TBudget/Seed are the trasyn sampling knobs and base seed.
+	// Samples must lie in [0, MaxSamples] and TBudget in [0, MaxTBudget]
+	// (0 = backend default); the server refuses others with a 400.
 	Samples int    `json:"samples,omitempty"`
 	TBudget int    `json:"tbudget,omitempty"`
 	Seed    *int64 `json:"seed,omitempty"`
@@ -66,6 +68,26 @@ type CompileRequest struct {
 	// TimeoutMs bounds this compile inside the server's own request
 	// timeout; the tighter of the two wins.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
+}
+
+// The trasyn knobs' ranges. MaxTBudget is the paper's per-tensor T budget
+// m: the step-0 table grows as 3·2^m entries and stays resident, so m = 20
+// would take about 6 GB. MaxSamples is the paper's sample count k, which
+// sets the sampler's memory per site.
+const (
+	MaxTBudget = 10
+	MaxSamples = 40000
+)
+
+// checkTrasynKnobs refuses samples or tbudget outside their ranges.
+func checkTrasynKnobs(samples, tbudget int) error {
+	if tbudget < 0 || tbudget > MaxTBudget {
+		return badRequest("tbudget %d outside [0, %d]", tbudget, MaxTBudget)
+	}
+	if samples < 0 || samples > MaxSamples {
+		return badRequest("samples %d outside [0, %d]", samples, MaxSamples)
+	}
+	return nil
 }
 
 // Pipeline checks the request's pipeline fields and builds the pipeline
@@ -236,7 +258,8 @@ type SynthesizeRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Eps is the per-rotation error threshold (0 = backend default).
 	Eps float64 `json:"eps,omitempty"`
-	// Samples/TBudget/Seed are the trasyn knobs and base seed.
+	// Samples/TBudget/Seed are the trasyn knobs and base seed, with
+	// CompileRequest's ranges.
 	Samples int    `json:"samples,omitempty"`
 	TBudget int    `json:"tbudget,omitempty"`
 	Seed    *int64 `json:"seed,omitempty"`
