@@ -13,9 +13,8 @@ import (
 
 // goldenSolveHash is the sha256 of the reference's answers on goldenXis,
 // one line per ξ: "a b: t.A t.B t.C t.D", or "a b: none" when it reports
-// no solution. It was recorded from Solve when Solve still answered past
-// the word bounds. A change that moves any answer, including which
-// associate of t comes back, shows here.
+// no solution. A change that moves any answer, including which associate
+// of t comes back, shows here.
 const goldenSolveHash = "30851e7e3cc816b971769c32a92885a3ee7857a79bca83b2267e482b2b2819c4"
 
 // goldenEdgeCases are the hand-picked ξ = a + b√2 of the golden set. The
