@@ -15,9 +15,9 @@ import (
 // residue pre-filter, must produce bit-identical gate sequences to the
 // arbitrary-precision reference path — same gates in the same order, same
 // T count, same denominator exponent k, same error bits — for fixed seeds
-// across the benchmark ε ladder. The reference (dioph's big.Int solver,
-// which now lives in dioph's tests) is pinned here by its answers in
-// pinsFile, recorded while both paths still ran side by side and agreed.
+// across the benchmark ε ladder. The reference, dioph's big.Int solver in
+// dioph's tests, is pinned here by its answers in pinsFile, recorded
+// while both paths ran side by side and agreed.
 
 // pinsFile holds the reference path's answers, keyed by test name: each
 // seed-equality tier's Rz results and TestPreFilterNeverLies's verdicts.
